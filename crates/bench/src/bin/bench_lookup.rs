@@ -36,6 +36,7 @@ use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::time::Instant;
 use vr_bench::results_dir;
+use vr_control::{ControlConfig, ControlPlane};
 use vr_engine::service::lookup_batch_mixed;
 use vr_engine::{LookupService, LpmCache, ServiceConfig, ShardedConfig, ShardedService};
 use vr_telemetry::{Histogram, Stopwatch};
@@ -967,12 +968,13 @@ const WIRE_BATCH: usize = 64;
 
 /// End-to-end serving-tier rows: the same merged-jump datapath the
 /// `service_jump` rows measure, but reached through the `vr-wire`
-/// loopback socket — codec, CRC, syscalls, and the backend channel all
-/// included. `ns_per_lookup` here is offered-load throughput seen by a
-/// serial client (one frame in flight); the p50/p99 columns carry the
-/// frame round-trip time amortized per packet, which is transport
-/// latency rather than walk time — compare against service rows'
-/// worker-side histograms with that in mind.
+/// loopback socket, served by a `ControlPlane` like every other wire
+/// caller — codec, CRC, syscalls, and the connection thread's snapshot
+/// pin all included. `ns_per_lookup` here is offered-load throughput
+/// seen by a serial client (one frame in flight); the p50/p99 columns
+/// carry the frame round-trip time amortized per packet, which is
+/// transport latency rather than walk time — compare against service
+/// rows' worker-side histograms with that in mind.
 fn run_wire_rows(rows: &mut Vec<Row>, scale: &'static str, prefixes: usize, batches: usize) {
     let family = FamilySpec {
         prefixes_per_table: prefixes,
@@ -987,7 +989,8 @@ fn run_wire_rows(rows: &mut Vec<Row>, scale: &'static str, prefixes: usize, batc
     ] {
         let service = LookupService::new(family.clone(), ServiceConfig::default())
             .expect("service construction");
-        let server = WireServer::serve_tcp("127.0.0.1:0", service, ServerConfig::default(), None)
+        let plane = ControlPlane::new(service, ControlConfig::default()).expect("control plane");
+        let server = WireServer::serve_tcp("127.0.0.1:0", plane, ServerConfig::default(), None)
             .expect("wire server");
         let addr = server.local_addr().expect("tcp addr");
         let mut client = WireClient::connect_tcp(addr).expect("wire client");

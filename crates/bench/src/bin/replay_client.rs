@@ -157,6 +157,7 @@ fn self_contained(
     // Concurrent churn: a second connection streams update batches for
     // the whole replay window so lookups race real publishes.
     let stop = Arc::new(Mutex::new(false));
+    let (replied_tx, replied_rx) = std::sync::mpsc::channel();
     let churn_thread = (churn_per_batch > 0).then(|| {
         let stop = Arc::clone(&stop);
         let tables = family.clone();
@@ -175,12 +176,19 @@ fn self_contained(
                     Ok(_) => {}
                     Err(_) => break,
                 }
+                let _ = replied_tx.send(());
                 std::thread::sleep(Duration::from_millis(2));
             }
             acks
         })
     });
 
+    // Lookups never wait for a publish, so a short replay could finish
+    // inside the first update batch (which also builds the incremental
+    // plant); with churn on, start once that batch has been answered.
+    if churn_thread.is_some() {
+        let _ = replied_rx.recv_timeout(Duration::from_secs(30));
+    }
     let mut client = WireClient::connect_tcp(addr).expect("connect loopback");
     let (stats, _) = replay(&mut client, &family, cfg).expect("replay");
 

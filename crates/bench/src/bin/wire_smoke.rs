@@ -8,7 +8,8 @@
 //! the run every response batch must match the mirror of the largest
 //! recorded generation ≤ its tagged generation — **bit-identically**.
 //! A response torn across a publish, a stale snapshot, or any codec
-//! corruption fails the job.
+//! corruption fails the job. The service's `vr_service_lookups_total`
+//! must equal the packets answered over the wire.
 //!
 //! Phase 2 — **forced overload**: a rate-limited server is flooded;
 //! the job asserts explicit `Overloaded(RateLimited)` frames come back
@@ -123,7 +124,9 @@ fn phase1_oracle_parity(obs_addr: SocketAddr, registry: &Arc<MetricsRegistry>) {
     let addr = server.local_addr().expect("tcp addr");
 
     // Churn connection: apply batches, snapshotting the mirror at every
-    // acked generation. Runs concurrently with the replay below.
+    // acked generation. Runs concurrently with the replay below and
+    // signals after each reply.
+    let (replied_tx, replied_rx) = std::sync::mpsc::channel();
     let churn = std::thread::spawn(move || {
         let mut client = WireClient::connect_tcp(addr).expect("churn connect");
         let mut stream = UpdateStream::new(family(), UpdateMix::default(), 16, 0x0C0DE)
@@ -143,12 +146,13 @@ fn phase1_oracle_parity(obs_addr: SocketAddr, registry: &Arc<MetricsRegistry>) {
                     snapshots.insert(generation, mirror.clone());
                 }
                 Message::Overloaded { .. } => {
-                    // Default config has no rate limit; queue-full is
-                    // possible under CI load — the batch was dropped,
-                    // so the mirror must not advance.
+                    // Default config has no rate limit, so this should
+                    // not happen; if it does, the batch was dropped and
+                    // the mirror must not advance.
                 }
                 other => panic!("churn got unexpected reply {other:?}"),
             }
+            let _ = replied_tx.send(());
             std::thread::sleep(Duration::from_millis(1));
         }
         snapshots
@@ -164,6 +168,12 @@ fn phase1_oracle_parity(obs_addr: SocketAddr, registry: &Arc<MetricsRegistry>) {
     let Message::LookupResponse { generation: g0, .. } = first else {
         panic!("probe got {first:?}");
     };
+    // Lookups never wait for a publish, so the whole replay could
+    // finish inside the first update batch (which also builds the
+    // incremental plant). Start it once that batch has been answered.
+    replied_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("churn connection never got a reply");
     let replay_cfg = ReplayConfig {
         model: TrafficModel::Zipf { s: 1.0 },
         batch_size: 32,
@@ -194,7 +204,18 @@ fn phase1_oracle_parity(obs_addr: SocketAddr, registry: &Arc<MetricsRegistry>) {
     assert_eq!(mismatches, 0, "wire results diverged from the oracle");
     assert!(healthz(obs_addr), "/healthz not green during phase 1");
 
-    drop(server);
+    // Counter parity: every packet answered over the wire (the probe
+    // plus the replay) was counted by the service it was resolved in.
+    let plane = server.shutdown().expect("backend returns");
+    let service_lookups = plane
+        .service()
+        .telemetry_snapshot()
+        .and_then(|snap| snap.counter("vr_service_lookups_total"));
+    assert_eq!(
+        service_lookups,
+        Some(stats.packets + 1),
+        "vr_service_lookups_total disagrees with the packets answered over the wire"
+    );
     eprintln!(
         "[wire_smoke] phase 1 ok: {} packets bit-identical across generations {}..{} ({} churn snapshots)",
         stats.packets,

@@ -57,7 +57,7 @@ pub use multiway::MultiwayEngine;
 pub use report::SimReport;
 pub use router::{ArrivalModel, SimConfig, VirtualRouterSim};
 pub use service::{
-    CompletedBatch, LookupService, ServiceConfig, ServiceReport, TableSnapshot, UpdateRecord,
+    CompletedBatch, LookupReader, LookupService, ServiceConfig, ServiceReport, TableSnapshot,
 };
 pub use sharded::{shard_of, ShardedBatch, ShardedConfig, ShardedReport, ShardedService};
 // Re-exported so service users can consume traces without naming the

@@ -19,7 +19,8 @@
 //! (the Terabit hybrid FPGA-ASIC switch-virtualization work in PAPERS.md)
 //! pair a fast lookup plane with non-blocking table reloads; we reproduce
 //! that with an RCU-style swap. The live table sits in a vr-sync
-//! [`Publish`] slot: workers pin the current snapshot — one lock + one
+//! [`Publish`] slot: workers — and any [`LookupReader`] handed out by
+//! [`LookupService::reader`] — pin the current snapshot — one lock + one
 //! refcount increment — **once per batch**, then resolve the whole batch
 //! against that pinned [`SyncArc`]. A route update builds a complete new
 //! [`JumpTrie`] *outside* the slot and publishes it with
@@ -116,7 +117,10 @@ pub struct ServiceConfig {
     /// updates invalidate them in O(1) without any flush. Worth turning
     /// on whenever traffic repeats destinations (skewed/Zipf mixes);
     /// pure one-shot random traffic pays a small probe+fill overhead
-    /// for no hits, which is why the default is off.
+    /// for no hits, which is why the default is off. Applies to batches
+    /// run by the worker pool ([`LookupService::submit`] /
+    /// [`LookupService::process`]), not to lookups through a
+    /// [`LookupReader`] (the wire serving path).
     pub lookup_cache: Option<usize>,
     /// 1-in-N batch-trace sampling rate (`Some(64)` traces every 64th
     /// submitted batch); `None` disables tracing entirely. Sampled
@@ -126,7 +130,10 @@ pub struct ServiceConfig {
     /// [`vr_obs::Tracer`] ring; unsampled batches pay one modulo on
     /// submit and an `Option` check per stage. The
     /// `service_jump_traced` bench row holds the sampled hot path
-    /// within 5% of the untraced one at the default 1-in-64.
+    /// within 5% of the untraced one at the default 1-in-64. Like
+    /// `lookup_cache`, it applies to [`LookupService::submit`] /
+    /// [`LookupService::process`] batches, not to [`LookupReader`]
+    /// lookups; publish and apply-updates spans are recorded either way.
     pub trace_sample: Option<u32>,
 }
 
@@ -432,19 +439,53 @@ struct IncrementalPlant {
     slabs: JumpSlabs,
 }
 
-/// Per-call bookkeeping entry of [`LookupService::apply_updates`]: which
-/// generation the batch published and through which path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct UpdateRecord {
-    /// Generation the batch published.
-    pub generation: u64,
-    /// Updates in the batch (pre-coalescing — the service applies what
-    /// it is given).
-    pub updates: usize,
-    /// True when the publish went through the dirty-bucket patch path.
-    pub incremental: bool,
-    /// Buckets the batch dirtied (0 on the full-rebuild baseline path).
-    pub dirty_buckets: usize,
+/// A read-only handle on a service's live snapshot, handed out by
+/// [`LookupService::reader`]. Any number of threads may share one: each
+/// [`lookup`](Self::lookup) pins the published [`TableSnapshot`] once,
+/// walks the whole batch against it, and counts the batch in the
+/// service's `vr_service_*` worker metrics. Results and generation come
+/// from that one pin, so a batch never straddles a publish. This is the
+/// same pin → walk → count path the worker pool's uncached branch runs;
+/// the per-worker result cache and batch tracing are worker-only.
+#[derive(Clone)]
+pub struct LookupReader {
+    current: Publish<TableSnapshot>,
+    metrics: Option<WorkerMetrics>,
+    networks: usize,
+}
+
+impl LookupReader {
+    /// Virtual networks the service hosts; fixed for its lifetime, since
+    /// a publish may not change the table count.
+    #[must_use]
+    pub fn networks(&self) -> usize {
+        self.networks
+    }
+
+    /// Resolves `packets` against the live snapshot; returns per-packet
+    /// next hops in input order and the generation they came from. Every
+    /// VN id must be below [`networks`](Self::networks).
+    #[must_use]
+    pub fn lookup(&self, packets: &[(VnId, u32)]) -> (Vec<Option<NextHop>>, u64) {
+        let (results, generation, _) = self.resolve(0, packets);
+        (results, generation)
+    }
+
+    /// Pin, walk, count: returns `(results, generation, elapsed_ns)`.
+    /// `shard` picks the metric counter shard.
+    fn resolve(&self, shard: usize, packets: &[(VnId, u32)]) -> (Vec<Option<NextHop>>, u64, u64) {
+        // RCU read-side critical section: pin the snapshot with one
+        // refcount bump; the slot is never held across the walk.
+        let snapshot: SyncArc<TableSnapshot> = self.current.read();
+        let watch = Stopwatch::start();
+        let mut results = vec![None; packets.len()];
+        lookup_batch_mixed(&snapshot.trie, packets, &mut results);
+        let elapsed_ns = watch.elapsed_ns();
+        if let Some(m) = &self.metrics {
+            m.observe_batch(shard, &results, elapsed_ns);
+        }
+        (results, snapshot.generation, elapsed_ns)
+    }
 }
 
 /// Resolves a possibly mixed-VN batch against one trie, preserving
@@ -544,7 +585,8 @@ pub fn tune_batch_width(trie: &JumpTrie, probes: &[u32], candidates: &[usize]) -
 /// assert_eq!(report.swaps, 1);
 /// ```
 pub struct LookupService {
-    current: Publish<TableSnapshot>,
+    /// The publish slot plus the worker metrics every reader counts in.
+    reader: LookupReader,
     /// Control-plane mirror of the per-VN tables, fed by
     /// [`apply_updates`](Self::apply_updates).
     tables: Vec<RoutingTable>,
@@ -564,8 +606,6 @@ pub struct LookupService {
     dirty_threshold: usize,
     /// Lazily materialized incremental update state.
     plant: Option<IncrementalPlant>,
-    /// One entry per `apply_updates` call, oldest first.
-    update_log: Vec<UpdateRecord>,
 }
 
 impl LookupService {
@@ -621,17 +661,20 @@ impl LookupService {
             t.batch_width.set(batch_width as u64);
             t.generation.set(0);
         }
-        let current = Publish::new(TableSnapshot {
-            trie,
-            generation: 0,
-        });
+        let reader = LookupReader {
+            current: Publish::new(TableSnapshot {
+                trie,
+                generation: 0,
+            }),
+            metrics: telemetry.as_ref().map(ServiceTelemetry::worker_metrics),
+            networks: tables.len(),
+        };
         let workers = (0..cfg.workers)
             .map(|id| {
                 Self::spawn_worker(
                     id,
-                    &current,
+                    reader.clone(),
                     cfg.queue_depth,
-                    telemetry.as_ref().map(ServiceTelemetry::worker_metrics),
                     cfg.lookup_cache,
                     telemetry
                         .as_ref()
@@ -641,7 +684,7 @@ impl LookupService {
             })
             .collect();
         Ok(Self {
-            current,
+            reader,
             tables,
             workers,
             batch_width,
@@ -653,7 +696,6 @@ impl LookupService {
             full_rebuild: cfg.full_rebuild,
             dirty_threshold: cfg.dirty_rebuild_threshold,
             plant: None,
-            update_log: Vec::new(),
         })
     }
 
@@ -699,9 +741,8 @@ impl LookupService {
 
     fn spawn_worker(
         id: usize,
-        current: &Publish<TableSnapshot>,
+        reader: LookupReader,
         queue_depth: usize,
-        metrics: Option<WorkerMetrics>,
         cache_slots: Option<usize>,
         cache_metrics: Option<CacheMetrics>,
         tracer: Option<Tracer>,
@@ -711,7 +752,6 @@ impl LookupService {
         // queue would let a worker block mid-send while the dispatcher is
         // still fanning out jobs — a submit/drain deadlock.
         let (done_tx, done_rx) = spsc_unbounded::<CompletedBatch>();
-        let current = current.clone();
         let handle = std::thread::spawn(move || {
             // Worker-private result cache (capacity validated in `new`);
             // nothing about it is shared, so probes and fills are plain
@@ -723,56 +763,53 @@ impl LookupService {
                 if let Some(tb) = job.trace.as_mut() {
                     tb.mark(Stage::Dequeue);
                 }
-                // RCU read-side critical section: pin the snapshot with
-                // one refcount bump; the slot is never held across the
-                // lookups themselves.
-                let snapshot: SyncArc<TableSnapshot> = current.read();
-                let watch = Stopwatch::start();
-                let mut results = vec![None; job.packets.len()];
-                match cache.as_mut() {
+                let (results, generation, elapsed_ns) = match cache.as_mut() {
+                    None => {
+                        let resolved = reader.resolve(id, &job.packets);
+                        if let Some(tb) = job.trace.as_mut() {
+                            tb.mark(Stage::LaneWalk);
+                        }
+                        resolved
+                    }
                     // Cached path: probe, batch-walk only the misses,
                     // scatter + fill. The snapshot's generation doubles
                     // as the slot tag, so a publish that happened since
                     // the last batch invalidates every slot for free.
-                    Some(c) => match job.trace.as_mut() {
-                        Some(tb) => c.lookup_batch_traced(
-                            &snapshot.trie,
-                            snapshot.generation,
-                            &job.packets,
-                            &mut results,
-                            tb,
-                        ),
-                        None => c.lookup_batch(
-                            &snapshot.trie,
-                            snapshot.generation,
-                            &job.packets,
-                            &mut results,
-                        ),
-                    },
-                    None => {
-                        lookup_batch_mixed(&snapshot.trie, &job.packets, &mut results);
-                        if let Some(tb) = job.trace.as_mut() {
-                            tb.mark(Stage::LaneWalk);
+                    Some(c) => {
+                        let snapshot: SyncArc<TableSnapshot> = reader.current.read();
+                        let watch = Stopwatch::start();
+                        let mut results = vec![None; job.packets.len()];
+                        let (trie, generation) = (&snapshot.trie, snapshot.generation);
+                        match job.trace.as_mut() {
+                            Some(tb) => c.lookup_batch_traced(
+                                trie,
+                                generation,
+                                &job.packets,
+                                &mut results,
+                                tb,
+                            ),
+                            None => c.lookup_batch(trie, generation, &job.packets, &mut results),
                         }
+                        let elapsed_ns = watch.elapsed_ns();
+                        if let Some(m) = &reader.metrics {
+                            m.observe_batch(id, &results, elapsed_ns);
+                        }
+                        if let Some(cm) = &cache_metrics {
+                            cm.observe(id, c.take_delta(), c.stats());
+                        }
+                        (results, generation, elapsed_ns)
                     }
-                }
-                let elapsed_ns = watch.elapsed_ns();
-                if let Some(m) = &metrics {
-                    m.observe_batch(id, &results, elapsed_ns);
-                }
-                if let (Some(c), Some(cm)) = (cache.as_mut(), &cache_metrics) {
-                    cm.observe(id, c.take_delta(), c.stats());
-                }
+                };
                 if let (Some(mut tb), Some(tr)) = (job.trace.take(), tracer.as_ref()) {
                     tb.set_worker(id as u64);
-                    tb.set_generation(snapshot.generation);
+                    tb.set_generation(generation);
                     tb.mark(Stage::Complete);
                     tr.record(tb.finish());
                 }
                 let done = CompletedBatch {
                     seq: job.seq,
                     results,
-                    generation: snapshot.generation,
+                    generation,
                     elapsed_ns,
                     worker: id,
                 };
@@ -803,7 +840,7 @@ impl LookupService {
     /// Generation of the currently published snapshot.
     #[must_use]
     pub fn generation(&self) -> u64 {
-        self.current.peek(|s| s.generation)
+        self.reader.current.peek(|s| s.generation)
     }
 
     /// The control-plane view of the per-VN tables.
@@ -865,7 +902,7 @@ impl LookupService {
     /// the software analogue of table-reload latency: how far behind the
     /// freshest table the datapath was still serving.
     pub fn collect_all(&mut self) -> Vec<CompletedBatch> {
-        let published = self.current.peek(|s| s.generation);
+        let published = self.reader.current.peek(|s| s.generation);
         let mut max_lag = 0u64;
         let mut done: Vec<CompletedBatch> = Vec::new();
         for (worker, pending) in self.in_flight.iter_mut().enumerate() {
@@ -946,7 +983,7 @@ impl LookupService {
         if let Err(err) = Self::audit_snapshot(&trie, self.telemetry.as_ref().map(|t| &t.audit)) {
             if let Some(t) = &self.telemetry {
                 t.audit_rejections.inc(0);
-                let generation = self.current.peek(|s| s.generation) + 1;
+                let generation = self.reader.current.peek(|s| s.generation) + 1;
                 t.registry
                     .events()
                     .publish(EventKind::AuditRejected { generation });
@@ -959,7 +996,7 @@ impl LookupService {
         }
         // Read-modify-publish in one critical section: the new generation
         // is derived from the outgoing snapshot atomically with the swap.
-        let generation = self.current.update(|cur| {
+        let generation = self.reader.current.update(|cur| {
             let generation = cur.generation + 1;
             (SyncArc::new(TableSnapshot { trie, generation }), generation)
         });
@@ -1017,12 +1054,6 @@ impl LookupService {
         } else {
             self.report.full_rebuilds += 1;
         }
-        self.update_log.push(UpdateRecord {
-            generation,
-            updates: updates.len(),
-            incremental: patched,
-            dirty_buckets: dirty,
-        });
         if let Some(t) = &self.telemetry {
             t.updates.add(0, updates.len() as u64);
             if patched {
@@ -1184,14 +1215,17 @@ impl LookupService {
     /// control plane size the live structure without re-building it.
     #[must_use]
     pub fn snapshot(&self) -> SyncArc<TableSnapshot> {
-        self.current.read()
+        self.reader.current.read()
     }
 
-    /// Per-call bookkeeping of [`LookupService::apply_updates`], oldest
-    /// first: which generation each batch published and via which path.
+    /// A read-only handle on the live snapshot for threads that resolve
+    /// lookups themselves instead of submitting to the worker pool (the
+    /// `vr-wire` connection threads). Lookups through it count in the
+    /// same `vr_service_*` worker metrics; they do not enter
+    /// [`report`](Self::report), which aggregates collected batches.
     #[must_use]
-    pub fn update_log(&self) -> &[UpdateRecord] {
-        &self.update_log
+    pub fn reader(&self) -> LookupReader {
+        self.reader.clone()
     }
 
     /// Counters aggregated from every batch collected so far.
@@ -1763,24 +1797,29 @@ mod tests {
             ..small_cfg(1)
         };
         let mut service = LookupService::new(vec![t], cfg).unwrap();
-        service
+        let generation = service
             .apply_updates(&[RouteUpdate::Announce {
                 vnid: 0,
                 prefix: "192.0.2.0/24".parse().unwrap(),
                 next_hop: 5,
             }])
             .unwrap();
+        assert_eq!(generation, 1);
         assert_eq!(service.process(&[(0, 0xC000_0201)]), vec![Some(5)]);
-        let log = service.update_log().to_vec();
-        assert_eq!(log.len(), 1);
-        assert!(!log[0].incremental);
-        assert_eq!(log[0].dirty_buckets, 1);
+        let snap = service.telemetry_snapshot().unwrap();
+        assert_eq!(snap.counter("vr_service_full_rebuilds_total"), Some(1));
+        assert_eq!(
+            snap.counter("vr_service_incremental_publishes_total"),
+            Some(0)
+        );
+        assert_eq!(snap.gauge("vr_service_dirty_buckets"), Some(1));
         let report = service.shutdown();
         assert_eq!(report.full_rebuilds, 1);
+        assert_eq!(report.incremental_publishes, 0);
     }
 
     #[test]
-    fn update_telemetry_and_log_track_each_batch() {
+    fn update_telemetry_tracks_each_batch() {
         let t = table("10.0.0.0/8 1\n");
         let mut service = LookupService::new(vec![t], small_cfg(1)).unwrap();
         let updates = [
@@ -1795,23 +1834,22 @@ mod tests {
             },
         ];
         let generation = service.apply_updates(&updates).unwrap();
-        assert_eq!(
-            service.update_log(),
-            &[UpdateRecord {
-                generation,
-                updates: 2,
-                incremental: true,
-                // Withdrawing the /8 dirties its whole 256-bucket run; the
-                // announced /24 falls inside it and dedupes.
-                dirty_buckets: 256,
-            }]
-        );
+        assert_eq!(generation, 1);
         let snap = service.telemetry_snapshot().unwrap();
         assert_eq!(snap.counter("vr_service_updates_total"), Some(2));
-        assert_eq!(snap.counter("vr_service_incremental_publishes_total"), Some(1));
+        assert_eq!(
+            snap.counter("vr_service_incremental_publishes_total"),
+            Some(1)
+        );
         assert_eq!(snap.counter("vr_service_full_rebuilds_total"), Some(0));
+        // Withdrawing the /8 dirties its whole 256-bucket run; the
+        // announced /24 falls inside it and dedupes.
         assert_eq!(snap.gauge("vr_service_dirty_buckets"), Some(256));
         assert_eq!(snap.histogram("vr_service_update_ns").unwrap().count, 1);
+        let report = service.report();
+        assert_eq!(report.updates_applied, 2);
+        assert_eq!(report.incremental_publishes, 1);
+        assert_eq!(report.full_rebuilds, 0);
         let _ = service.shutdown();
     }
 

@@ -165,8 +165,9 @@ pub enum OverloadReason {
     /// The connection's token bucket ran dry (per-connection rate
     /// limit). The request was *not* executed.
     RateLimited,
-    /// The backend job queue hit its watermark. The request was *not*
-    /// executed.
+    /// A server-side queue hit its watermark. The request was *not*
+    /// executed. The `vr-wire` server queues nothing and never sends
+    /// it; the code stays so other servers and clients keep decoding.
     QueueFull,
 }
 

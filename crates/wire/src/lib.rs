@@ -17,10 +17,12 @@
 //!   poison the stream (fail-stop, no resynchronization).
 //! * [`server`] — the blocking [`WireServer`] over TCP or Unix-domain
 //!   sockets: thread-per-connection behind the shared
-//!   `vr_obs::AcceptGate`, a backend thread that owns the lookup
-//!   service and control plane, and admission control that sheds with
-//!   explicit `Overloaded` frames (token-bucket rate limit, bounded
-//!   job queue, slow-reader disconnect) instead of stalling.
+//!   `vr_obs::AcceptGate`, each thread running its requests to
+//!   completion — lookups over a snapshot pinned through the backend's
+//!   read handle, route updates under a lock on the control plane — and
+//!   admission control that answers with typed frames (unknown-VN and
+//!   beyond-burst errors, token-bucket `Overloaded`, slow-reader
+//!   disconnect) instead of stalling.
 //! * [`client`] — a small blocking [`WireClient`] used by the replay
 //!   binary, the smoke harness, and tests.
 //! * [`replay`] — synthetic traffic replay (uniform / Zipf /
@@ -48,4 +50,4 @@ pub use frame::{
     ErrorCode, Message, OverloadReason, WireError, HEADER_LEN, MAX_PAYLOAD_BYTES, NO_ROUTE,
 };
 pub use replay::{replay, ReplayConfig, ReplayRecord, ReplayStats, TrafficModel};
-pub use server::{ServerConfig, WireBackend, WireServer};
+pub use server::{ServerConfig, WireBackend, WireReader, WireServer};

@@ -2,72 +2,78 @@
 //!
 //! Shape: an accept loop per listener (TCP and/or Unix-domain) admits
 //! connections through the shared [`vr_obs::AcceptGate`]; each admitted
-//! connection gets a reader thread (owns the [`FrameDecoder`] and the
-//! token bucket) and a writer thread (owns the bounded reply queue and
-//! the socket's write side). Decoded work frames flow over one bounded
-//! job channel into a single backend thread that owns the
-//! [`WireBackend`] — so lookups and route-update batches are
-//! *serialized*, and a lookup batch can never straddle a publish: the
-//! `(results, generation)` pair it returns is torn-free by
-//! construction, extending the engine's never-torn batch guarantee
-//! across the wire.
+//! connection gets one thread that runs every request to completion:
+//! read → decode → admit → resolve → encode → write. There is no
+//! backend thread and no queue between threads.
 //!
-//! Admission control sheds, it never stalls:
+//! * **Lookups** resolve through the backend's read handle
+//!   ([`WireBackend::reader`]), which pins the live RCU snapshot once
+//!   per frame. The `(results, generation)` pair comes from that one
+//!   pin, so a response can never straddle a publish — torn-free by
+//!   construction, extending the engine's never-torn batch guarantee
+//!   across the wire. Connection threads never wait on each other to
+//!   read.
+//! * **Route-update batches** lock the backend; they are the only
+//!   requests that serialize.
+//!
+//! A connection has at most one frame in progress, so at most
+//! `max_connections` frames are in progress server-wide. Admission
+//! control answers in-protocol instead of queueing:
 //!
 //! 1. **Connection gate** — past `max_connections`, the socket gets an
 //!    `Overloaded(Connections)` frame via the shared half-close-drain
 //!    helper and is closed.
-//! 2. **Token bucket** — per-connection packets-per-second budget;
-//!    over-budget frames get `Overloaded(RateLimited)` and the
-//!    connection stays open.
-//! 3. **Queue watermark** — a full backend job queue returns
-//!    `Overloaded(QueueFull)` immediately instead of queueing the
-//!    caller behind a convoy.
-//! 4. **Slow reader** — a full per-connection reply queue (the client
-//!    stopped reading) disconnects the offender so it cannot wedge the
-//!    backend; a write timeout bounds the cost of a half-dead peer.
+//! 2. **VN check** — a frame naming a virtual network the backend does
+//!    not host gets `ErrorReply(UnknownVn)` before it reaches the walk.
+//! 3. **Token bucket** — per-connection packets-per-second budget;
+//!    over-budget frames get `Overloaded(RateLimited)`, and a frame
+//!    larger than the whole burst (which no wait could admit) gets
+//!    `ErrorReply(BadRequest)`. The connection stays open either way.
+//! 4. **Slow reader** — a reply write that does not finish within
+//!    `write_timeout_ms` (the peer stopped reading) disconnects the
+//!    peer, freeing its thread and its gate slot.
 
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
-use vr_engine::{LookupService, ShardedService};
+use vr_engine::LookupReader;
 use vr_net::{NextHop, RouteUpdate, VnId};
-use vr_obs::{shed_with, AcceptGate};
+use vr_obs::{shed_with, AcceptGate, ShedStream};
 use vr_telemetry::{Counter, MetricsRegistry, Stopwatch};
 
-use crate::frame::{encode, encode_into, ErrorCode, Message, OverloadReason, WireError};
+use crate::frame::{encode, encode_into, ErrorCode, Message, OverloadReason};
 use crate::FrameDecoder;
 
-/// Reader poll granularity: the read timeout that lets a blocked
-/// reader notice a doomed/stopping connection.
+/// Reader poll granularity: the read timeout that lets an idle
+/// connection notice a stopping server.
 const READER_TICK: Duration = Duration::from_millis(100);
 
-/// Tuning for [`WireServer`]. `Default` is sized for tests and the
-/// smoke harness; the replay binary overrides per scenario.
+/// Tuning for [`WireServer`]. Every shipped caller serves with
+/// `Default`; the rate-limit phase of the `wire_smoke` harness and the
+/// unit tests override fields to force each admission stage.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Concurrent-connection bound enforced by the accept gate.
+    /// Concurrent-connection bound enforced by the accept gate — and,
+    /// with one frame in progress per connection, the bound on frames
+    /// in progress server-wide.
     pub max_connections: usize,
-    /// Backend job queue depth — the overload watermark.
-    pub job_queue_depth: usize,
-    /// Per-connection reply queue depth — the slow-reader bound.
-    pub writer_queue_depth: usize,
     /// Per-connection token-bucket rate in packets/updates per second;
     /// `0` disables rate limiting.
     pub rate_limit_pps: u64,
     /// Token-bucket burst capacity in packets; `0` means one second's
-    /// worth of `rate_limit_pps`.
+    /// worth of `rate_limit_pps`. A frame larger than the burst is
+    /// refused with `BadRequest`.
     pub rate_burst: u64,
     /// Back-off hint stamped into `Overloaded` frames.
     pub retry_after_ms: u32,
-    /// Socket write timeout — bounds how long a wedged peer can hold
-    /// the writer thread.
+    /// Socket write timeout: a reply that cannot be written within it
+    /// marks the peer a slow reader and closes the connection.
     pub write_timeout_ms: u64,
 }
 
@@ -75,8 +81,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             max_connections: 64,
-            job_queue_depth: 256,
-            writer_queue_depth: 64,
             rate_limit_pps: 0,
             rate_burst: 0,
             retry_after_ms: 20,
@@ -85,55 +89,46 @@ impl Default for ServerConfig {
     }
 }
 
-/// What the server needs from a lookup/control engine. Implementations
-/// run on the single backend thread, so `&mut self` methods are
-/// naturally serialized — a lookup can never interleave with an update
-/// publish.
+/// What the server needs from a lookup/control engine: a read handle
+/// for lookups and the update path.
 pub trait WireBackend: Send + 'static {
-    /// Resolves a packet batch; returns per-packet next hops in input
-    /// order plus the snapshot generation the whole batch used.
-    fn lookup(&mut self, packets: &[(VnId, u32)]) -> (Vec<Option<NextHop>>, u64);
+    /// The read handle every connection thread resolves lookups through.
+    type Reader: WireReader;
+    /// Hands out the read handle; called once when the server starts.
+    fn reader(&self) -> Self::Reader;
     /// Applies a route-update batch atomically (one publish); returns
-    /// the generation now live, or a human-readable refusal.
+    /// the generation now live, or a human-readable refusal. Runs under
+    /// the server's backend lock, so update batches serialize.
     fn apply_updates(&mut self, updates: &[RouteUpdate]) -> Result<u64, String>;
-    /// The currently live generation.
-    fn generation(&self) -> u64;
 }
 
-impl WireBackend for LookupService {
-    fn lookup(&mut self, packets: &[(VnId, u32)]) -> (Vec<Option<NextHop>>, u64) {
-        let generation = self.generation();
-        (self.process(packets), generation)
-    }
-
-    fn apply_updates(&mut self, updates: &[RouteUpdate]) -> Result<u64, String> {
-        LookupService::apply_updates(self, updates).map_err(|e| e.to_string())
-    }
-
-    fn generation(&self) -> u64 {
-        LookupService::generation(self)
-    }
+/// The read side of a [`WireBackend`], shared by every connection
+/// thread without locking the backend.
+pub trait WireReader: Send + Sync + 'static {
+    /// Virtual networks hosted. The server refuses any frame naming a
+    /// VN at or above this count before it reaches [`Self::lookup`].
+    fn networks(&self) -> usize;
+    /// Resolves a packet batch against one pinned snapshot; returns
+    /// per-packet next hops in input order plus that snapshot's
+    /// generation.
+    fn lookup(&self, packets: &[(VnId, u32)]) -> (Vec<Option<NextHop>>, u64);
 }
 
-impl WireBackend for ShardedService {
-    fn lookup(&mut self, packets: &[(VnId, u32)]) -> (Vec<Option<NextHop>>, u64) {
-        let generation = self.generation();
-        (self.process(packets), generation)
+impl WireReader for LookupReader {
+    fn networks(&self) -> usize {
+        LookupReader::networks(self)
     }
 
-    fn apply_updates(&mut self, _updates: &[RouteUpdate]) -> Result<u64, String> {
-        Err("sharded backend is lookup-only; route updates need the control plane".into())
-    }
-
-    fn generation(&self) -> u64 {
-        ShardedService::generation(self)
+    fn lookup(&self, packets: &[(VnId, u32)]) -> (Vec<Option<NextHop>>, u64) {
+        LookupReader::lookup(self, packets)
     }
 }
 
 impl WireBackend for vr_control::ControlPlane {
-    fn lookup(&mut self, packets: &[(VnId, u32)]) -> (Vec<Option<NextHop>>, u64) {
-        let generation = self.service().generation();
-        (self.service_mut().process(packets), generation)
+    type Reader = LookupReader;
+
+    fn reader(&self) -> LookupReader {
+        self.service().reader()
     }
 
     fn apply_updates(&mut self, updates: &[RouteUpdate]) -> Result<u64, String> {
@@ -141,80 +136,35 @@ impl WireBackend for vr_control::ControlPlane {
             .map(|outcome| outcome.generation)
             .map_err(|e| e.to_string())
     }
-
-    fn generation(&self) -> u64 {
-        self.service().generation()
-    }
 }
 
-/// The socket abstraction both listeners produce. All methods take
-/// `&self` (sockets support concurrent read/write through shared
-/// references), so one `Arc` serves the reader, the writer, and the
-/// backend's kill switch.
-trait WireStream: Send + Sync {
-    fn read_some(&self, buf: &mut [u8]) -> io::Result<usize>;
-    fn write_frame(&self, bytes: &[u8]) -> io::Result<()>;
-    fn shutdown_both(&self);
+/// A socket both listeners produce: readable, writable, sheddable, and
+/// able to take the connection's read tick and write timeout.
+trait WireStream: ShedStream + Send + 'static {
     fn set_timeouts(&self, read: Duration, write: Duration);
 }
 
-impl WireStream for TcpStream {
-    fn read_some(&self, buf: &mut [u8]) -> io::Result<usize> {
-        (&mut &*self).read(buf)
-    }
-
-    fn write_frame(&self, bytes: &[u8]) -> io::Result<()> {
-        (&mut &*self).write_all(bytes)
-    }
-
-    fn shutdown_both(&self) {
-        let _ = self.shutdown(std::net::Shutdown::Both);
-    }
-
-    fn set_timeouts(&self, read: Duration, write: Duration) {
-        let _ = self.set_read_timeout(Some(read));
-        let _ = self.set_write_timeout(Some(write));
-    }
+macro_rules! wire_stream {
+    ($ty:ty) => {
+        impl WireStream for $ty {
+            fn set_timeouts(&self, read: Duration, write: Duration) {
+                let _ = self.set_read_timeout(Some(read));
+                let _ = self.set_write_timeout(Some(write));
+            }
+        }
+    };
 }
 
+wire_stream!(TcpStream);
 #[cfg(unix)]
-impl WireStream for UnixStream {
-    fn read_some(&self, buf: &mut [u8]) -> io::Result<usize> {
-        (&mut &*self).read(buf)
-    }
-
-    fn write_frame(&self, bytes: &[u8]) -> io::Result<()> {
-        (&mut &*self).write_all(bytes)
-    }
-
-    fn shutdown_both(&self) {
-        let _ = self.shutdown(std::net::Shutdown::Both);
-    }
-
-    fn set_timeouts(&self, read: Duration, write: Duration) {
-        let _ = self.set_read_timeout(Some(read));
-        let _ = self.set_write_timeout(Some(write));
-    }
-}
-
-/// One decoded work frame in flight to the backend thread.
-struct Job {
-    msg: Message,
-    /// The connection's bounded reply queue.
-    reply: Sender<Message>,
-    /// Kill switch for the slow-reader case: shutting the socket down
-    /// wakes both connection threads into their exit paths.
-    stream: Arc<dyn WireStream>,
-}
+wire_stream!(UnixStream);
 
 /// Counters the server publishes when given a registry. Handles are
-/// cheap clones; shard indexes wrap inside the counter.
-#[derive(Clone)]
+/// cheap clones.
 struct WireMetrics {
     connections: Option<Counter>,
     shed_connections: Option<Counter>,
     shed_rate_limited: Option<Counter>,
-    shed_queue_full: Option<Counter>,
     slow_reader_disconnects: Option<Counter>,
     requests: Option<Counter>,
     lookup_packets: Option<Counter>,
@@ -229,7 +179,6 @@ impl WireMetrics {
             connections: c("vr_wire_connections_total"),
             shed_connections: c("vr_wire_shed_connections_total"),
             shed_rate_limited: c("vr_wire_shed_rate_limited_total"),
-            shed_queue_full: c("vr_wire_shed_queue_full_total"),
             slow_reader_disconnects: c("vr_wire_slow_reader_disconnects_total"),
             requests: c("vr_wire_requests_total"),
             lookup_packets: c("vr_wire_lookup_packets_total"),
@@ -238,11 +187,22 @@ impl WireMetrics {
         }
     }
 
-    fn bump(counter: &Option<Counter>, shard: usize, n: u64) {
+    fn bump(counter: &Option<Counter>, n: u64) {
         if let Some(c) = counter {
-            c.add(shard, n);
+            c.add(0, n);
         }
     }
+}
+
+/// Outcome of a token-bucket draw.
+enum Draw {
+    Granted,
+    /// Not enough budget now; a later frame may be admitted.
+    Empty,
+    /// The frame costs more than the whole burst: no wait admits it.
+    Oversized {
+        burst: u64,
+    },
 }
 
 /// Per-connection token bucket over the monotonic `Stopwatch` clock.
@@ -250,7 +210,7 @@ impl WireMetrics {
 /// refill needs no floating point and loses no fractional tokens.
 struct TokenBucket {
     rate_pps: u64,
-    capacity_tok_ns: u64,
+    burst: u64,
     available_tok_ns: u64,
     clock: Stopwatch,
     last_ns: u64,
@@ -263,7 +223,7 @@ impl TokenBucket {
         let burst = if burst == 0 { rate_pps } else { burst };
         Self {
             rate_pps,
-            capacity_tok_ns: burst.saturating_mul(TOK_NS),
+            burst,
             // Start full so a fresh connection can send immediately.
             available_tok_ns: burst.saturating_mul(TOK_NS),
             clock: Stopwatch::start(),
@@ -272,49 +232,61 @@ impl TokenBucket {
     }
 
     /// Takes `cost` tokens if the refilled budget covers them.
-    fn try_take(&mut self, cost: u64) -> bool {
+    fn try_take(&mut self, cost: u64) -> Draw {
         if self.rate_pps == 0 {
-            return true;
+            return Draw::Granted;
+        }
+        if cost > self.burst {
+            return Draw::Oversized { burst: self.burst };
         }
         let now = self.clock.elapsed_ns();
-        let gained = now.saturating_sub(self.last_ns).saturating_mul(self.rate_pps);
+        let gained = now
+            .saturating_sub(self.last_ns)
+            .saturating_mul(self.rate_pps);
         self.last_ns = now;
         self.available_tok_ns = self
             .available_tok_ns
             .saturating_add(gained)
-            .min(self.capacity_tok_ns);
+            .min(self.burst.saturating_mul(TOK_NS));
         let need = cost.saturating_mul(TOK_NS);
         if self.available_tok_ns >= need {
             self.available_tok_ns -= need;
-            true
+            Draw::Granted
         } else {
-            false
+            Draw::Empty
         }
     }
 }
 
-/// Shared server state the accept loops and connections see.
-struct Shared {
+/// Server state the accept loops and connection threads share.
+struct Shared<B: WireBackend> {
     gate: Arc<AcceptGate>,
     stopping: Mutex<bool>,
     cfg: ServerConfig,
     metrics: WireMetrics,
-    /// Cloned once per admitted connection; taken (set to `None`) at
-    /// shutdown so the backend's channel fully disconnects once the
-    /// last connection reader exits.
-    job_tx: Mutex<Option<Sender<Job>>>,
+    reader: B::Reader,
+    /// Locked by route-update batches only; taken at shutdown.
+    backend: Mutex<Option<B>>,
+    /// Connection threads, joined at shutdown; finished ones are pruned
+    /// on every admit.
+    connections: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl<B: WireBackend> Shared<B> {
+    fn stopping(&self) -> bool {
+        *self.stopping.lock()
+    }
 }
 
 /// A running `VRW1` server. Dropping it (or calling
-/// [`WireServer::shutdown`]) stops the accept loops, disconnects the
-/// job queue, and joins the backend thread.
+/// [`WireServer::shutdown`]) stops the accept loops and joins every
+/// connection thread.
 pub struct WireServer<B: WireBackend> {
     addr: Option<SocketAddr>,
     #[cfg(unix)]
     uds_path: Option<std::path::PathBuf>,
-    shared: Arc<Shared>,
-    accept_threads: Vec<std::thread::JoinHandle<()>>,
-    backend_thread: Option<std::thread::JoinHandle<B>>,
+    shared: Arc<Shared<B>>,
+    accept_threads: Vec<JoinHandle<()>>,
 }
 
 impl<B: WireBackend> WireServer<B> {
@@ -331,9 +303,11 @@ impl<B: WireBackend> WireServer<B> {
     ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let mut server = Self::start(backend, cfg, registry)?;
+        let mut server = Self::new(backend, cfg, registry);
         server.addr = Some(local);
-        server.spawn_acceptor("vr-wire-tcp", move |shared| tcp_accept_loop(&listener, &shared))?;
+        server.spawn_acceptor("vr-wire-tcp", move |shared| {
+            accept_loop(|| listener.accept().map(|(s, _)| s), &shared)
+        })?;
         Ok(server)
     }
 
@@ -352,43 +326,36 @@ impl<B: WireBackend> WireServer<B> {
         let path = path.as_ref().to_path_buf();
         let _ = std::fs::remove_file(&path);
         let listener = UnixListener::bind(&path)?;
-        let mut server = Self::start(backend, cfg, registry)?;
+        let mut server = Self::new(backend, cfg, registry);
         server.uds_path = Some(path);
-        server.spawn_acceptor("vr-wire-uds", move |shared| uds_accept_loop(&listener, &shared))?;
+        server.spawn_acceptor("vr-wire-uds", move |shared| {
+            accept_loop(|| listener.accept().map(|(s, _)| s), &shared)
+        })?;
         Ok(server)
     }
 
-    fn start(
-        backend: B,
-        cfg: ServerConfig,
-        registry: Option<&Arc<MetricsRegistry>>,
-    ) -> io::Result<Self> {
-        let metrics = WireMetrics::new(registry);
-        let (job_tx, job_rx) = bounded::<Job>(cfg.job_queue_depth.max(1));
-        let shared = Arc::new(Shared {
-            gate: AcceptGate::new(cfg.max_connections),
-            stopping: Mutex::new(false),
-            cfg,
-            metrics: metrics.clone(),
-            job_tx: Mutex::new(Some(job_tx)),
-        });
-        let backend_thread = std::thread::Builder::new()
-            .name("vr-wire-backend".into())
-            .spawn(move || backend_loop(backend, &job_rx, &metrics))?;
-        Ok(Self {
+    fn new(backend: B, cfg: ServerConfig, registry: Option<&Arc<MetricsRegistry>>) -> Self {
+        Self {
             addr: None,
             #[cfg(unix)]
             uds_path: None,
-            shared,
+            shared: Arc::new(Shared {
+                gate: AcceptGate::new(cfg.max_connections),
+                stopping: Mutex::new(false),
+                cfg,
+                metrics: WireMetrics::new(registry),
+                reader: backend.reader(),
+                backend: Mutex::new(Some(backend)),
+                connections: Mutex::new(Vec::new()),
+            }),
             accept_threads: Vec::new(),
-            backend_thread: Some(backend_thread),
-        })
+        }
     }
 
     fn spawn_acceptor(
         &mut self,
         name: &str,
-        run: impl FnOnce(Arc<Shared>) + Send + 'static,
+        run: impl FnOnce(Arc<Shared<B>>) + Send + 'static,
     ) -> io::Result<()> {
         let shared = Arc::clone(&self.shared);
         let handle = std::thread::Builder::new()
@@ -411,50 +378,42 @@ impl<B: WireBackend> WireServer<B> {
         self.shared.gate.active()
     }
 
-    /// Stops accepting, disconnects the job queue, joins the backend
-    /// thread, and returns the backend (so a test can compare the
+    /// Stops accepting, joins every connection thread (each notices
+    /// within a reader tick, or a write timeout if it is blocked on a
+    /// slow reader), and returns the backend (so a test can compare the
     /// served state against an oracle).
     #[must_use = "the returned backend carries final state; drop it explicitly if unwanted"]
     pub fn shutdown(mut self) -> Option<B> {
-        self.stop_accepting();
-        // Replacing the shared handle is not possible (connections hold
-        // clones), but connection readers observe `stopping` within a
-        // reader tick and drop their job senders; the backend exits
-        // when the channel fully disconnects.
-        let backend = self.backend_thread.take().and_then(|h| h.join().ok());
-        #[cfg(unix)]
-        if let Some(path) = self.uds_path.take() {
-            let _ = std::fs::remove_file(path);
-        }
-        backend
+        self.stop();
+        self.shared.backend.lock().take()
     }
 
-    fn stop_accepting(&mut self) {
+    fn stop(&mut self) {
         *self.shared.stopping.lock() = true;
-        // Poke each blocked accept() awake with a throwaway connection.
-        if let Some(addr) = self.addr {
-            let _ = TcpStream::connect(addr);
-        }
-        #[cfg(unix)]
-        if let Some(path) = &self.uds_path {
-            let _ = UnixStream::connect(path);
+        if !self.accept_threads.is_empty() {
+            // Poke each blocked accept() awake with a throwaway connection.
+            if let Some(addr) = self.addr {
+                let _ = TcpStream::connect(addr);
+            }
+            #[cfg(unix)]
+            if let Some(path) = &self.uds_path {
+                let _ = UnixStream::connect(path);
+            }
         }
         for handle in self.accept_threads.drain(..) {
             let _ = handle.join();
         }
-        // Release the server's own job sender: the backend now exits as
-        // soon as every connection reader (each observes `stopping`
-        // within a reader tick) drops its clone.
-        *self.shared.job_tx.lock() = None;
+        // No acceptor is left to admit more, so this drains them all.
+        let connections = std::mem::take(&mut *self.shared.connections.lock());
+        for handle in connections {
+            let _ = handle.join();
+        }
     }
 }
 
 impl<B: WireBackend> Drop for WireServer<B> {
     fn drop(&mut self) {
-        self.stop_accepting();
-        if let Some(handle) = self.backend_thread.take() {
-            let _ = handle.join();
-        }
+        self.stop();
         #[cfg(unix)]
         if let Some(path) = self.uds_path.take() {
             let _ = std::fs::remove_file(path);
@@ -472,46 +431,27 @@ impl<B: WireBackend> std::fmt::Debug for WireServer<B> {
     }
 }
 
-fn tcp_accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    loop {
-        let Ok((stream, _)) = listener.accept() else {
-            if *shared.stopping.lock() {
-                return;
-            }
-            continue;
-        };
-        if *shared.stopping.lock() {
-            return;
-        }
-        admit(stream, shared);
-    }
-}
-
-#[cfg(unix)]
-fn uds_accept_loop(listener: &UnixListener, shared: &Arc<Shared>) {
-    loop {
-        let Ok((stream, _)) = listener.accept() else {
-            if *shared.stopping.lock() {
-                return;
-            }
-            continue;
-        };
-        if *shared.stopping.lock() {
-            return;
-        }
-        admit(stream, shared);
-    }
-}
-
-/// Gate + spawn for one fresh connection; works for any stream kind
-/// that is both sheddable (`vr_obs::ShedStream`) and servable
-/// ([`WireStream`]).
-fn admit<S>(stream: S, shared: &Arc<Shared>)
+/// Accepts until the server stops; works for either listener kind.
+fn accept_loop<S, B>(mut accept: impl FnMut() -> io::Result<S>, shared: &Arc<Shared<B>>)
 where
-    S: WireStream + vr_obs::ShedStream + 'static,
+    S: WireStream,
+    B: WireBackend,
 {
+    loop {
+        let accepted = accept();
+        if shared.stopping() {
+            return;
+        }
+        if let Ok(stream) = accepted {
+            admit(stream, shared);
+        }
+    }
+}
+
+/// Gate + spawn for one fresh connection.
+fn admit<S: WireStream, B: WireBackend>(stream: S, shared: &Arc<Shared<B>>) {
     let Some(permit) = shared.gate.try_admit() else {
-        WireMetrics::bump(&shared.metrics.shed_connections, 0, 1);
+        WireMetrics::bump(&shared.metrics.shed_connections, 1);
         let refusal = encode(&Message::Overloaded {
             id: 0,
             reason: OverloadReason::Connections,
@@ -524,241 +464,200 @@ where
         );
         return;
     };
-    let Some(job_tx) = shared.job_tx.lock().clone() else {
-        // Shutdown raced the accept: no backend to serve this socket.
-        return;
-    };
-    WireMetrics::bump(&shared.metrics.connections, 0, 1);
+    WireMetrics::bump(&shared.metrics.connections, 1);
     let conn_shared = Arc::clone(shared);
     let spawned = std::thread::Builder::new()
         .name("vr-wire-conn".into())
         .spawn(move || {
-            // Held for the reader's lifetime; the writer's final flush
-            // after reader exit is bounded by the write timeout.
             let _permit = permit;
-            serve_connection(Arc::new(stream), &conn_shared, &job_tx);
+            serve_connection(stream, &conn_shared);
         });
     // Spawn failure (resource exhaustion): the permit already dropped
     // with the closure; the socket closes unreplied, which the client
     // sees as a refused connection.
-    drop(spawned);
+    if let Ok(handle) = spawned {
+        let mut connections = shared.connections.lock();
+        connections.retain(|h| !h.is_finished());
+        connections.push(handle);
+    }
 }
 
-/// The reader side of one connection: decode frames, run admission,
-/// forward work to the backend, echo pings locally.
-fn serve_connection(stream: Arc<dyn WireStream>, shared: &Arc<Shared>, job_tx: &Sender<Job>) {
+fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+    )
+}
+
+/// One connection, run to completion frame by frame: read, decode,
+/// serve, write the reply, repeat.
+fn serve_connection<S: WireStream, B: WireBackend>(mut stream: S, shared: &Shared<B>) {
     stream.set_timeouts(
         READER_TICK,
         Duration::from_millis(shared.cfg.write_timeout_ms),
     );
-    let (reply_tx, reply_rx) = bounded::<Message>(shared.cfg.writer_queue_depth.max(1));
-    let writer_stream = Arc::clone(&stream);
-    let writer = std::thread::Builder::new()
-        .name("vr-wire-writer".into())
-        .spawn(move || writer_loop(&writer_stream, &reply_rx));
-    if writer.is_err() {
-        stream.shutdown_both();
-        return;
-    }
     let mut decoder = FrameDecoder::new();
     let mut bucket = TokenBucket::new(shared.cfg.rate_limit_pps, shared.cfg.rate_burst);
     let mut read_buf = [0u8; 16 * 1024];
-    'conn: loop {
-        match stream.read_some(&mut read_buf) {
-            Ok(0) => break 'conn,
+    let mut out = Vec::with_capacity(4 * 1024);
+    while !shared.stopping() {
+        match stream.read(&mut read_buf) {
+            Ok(0) => return,
             Ok(n) => decoder.feed(&read_buf[..n]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
-                ) =>
-            {
-                if *shared.stopping.lock() {
-                    break 'conn;
-                }
-                continue;
-            }
-            Err(_) => break 'conn,
+            Err(e) if is_timeout(&e) => continue,
+            Err(_) => return,
         }
         loop {
-            match decoder.next_message() {
-                Ok(Some(msg)) => {
-                    if !handle_frame(msg, &stream, shared, job_tx, &mut bucket, &reply_tx) {
-                        break 'conn;
-                    }
-                }
+            let (reply, fatal) = match decoder.next_message() {
+                Ok(Some(msg)) => (serve_frame(msg, shared, &mut bucket), false),
                 Ok(None) => break,
+                // Framing is unrecoverable: report once, then close the
+                // connection (fail-stop, no resync).
                 Err(err) => {
-                    // Framing is unrecoverable: report once, then tear
-                    // the connection down (fail-stop, no resync).
-                    WireMetrics::bump(&shared.metrics.decode_errors, 0, 1);
-                    let _ = reply_tx.try_send(error_reply(0, &err));
-                    break 'conn;
+                    WireMetrics::bump(&shared.metrics.decode_errors, 1);
+                    (error_reply(0, ErrorCode::BadRequest, err.to_string()), true)
                 }
-            }
-        }
-    }
-    // Dropping the last reply sender lets the writer drain and exit;
-    // the socket closes when the writer's Arc drops.
-    drop(reply_tx);
-}
-
-/// Routes one decoded frame. Returns `false` when the connection must
-/// close (slow reader or server stopping).
-fn handle_frame(
-    msg: Message,
-    stream: &Arc<dyn WireStream>,
-    shared: &Arc<Shared>,
-    job_tx: &Sender<Job>,
-    bucket: &mut TokenBucket,
-    reply_tx: &Sender<Message>,
-) -> bool {
-    let metrics = &shared.metrics;
-    // (correlation id, token cost) for the two work-frame kinds; None
-    // for everything else.
-    let work = match &msg {
-        Message::LookupRequest { id, packets } => Some((*id, packets.len() as u64)),
-        Message::RouteUpdateBatch { id, updates } => Some((*id, updates.len() as u64)),
-        _ => None,
-    };
-    let reply = if let Some((id, cost)) = work {
-        WireMetrics::bump(&metrics.requests, 0, 1);
-        if !bucket.try_take(cost.max(1)) {
-            WireMetrics::bump(&metrics.shed_rate_limited, 0, 1);
-            Some(overloaded(id, OverloadReason::RateLimited, shared))
-        } else {
-            let job = Job {
-                msg,
-                reply: reply_tx.clone(),
-                stream: Arc::clone(stream),
             };
-            match job_tx.try_send(job) {
-                Ok(()) => None,
-                Err(TrySendError::Full(job)) => {
-                    WireMetrics::bump(&metrics.shed_queue_full, 0, 1);
-                    drop(job);
-                    Some(overloaded(id, OverloadReason::QueueFull, shared))
+            out.clear();
+            encode_into(&reply, &mut out);
+            if let Err(e) = stream.write_all(&out) {
+                if is_timeout(&e) {
+                    WireMetrics::bump(&shared.metrics.slow_reader_disconnects, 1);
                 }
-                Err(TrySendError::Disconnected(_)) => return false,
+                return;
             }
-        }
-    } else if let Message::Ping { id } = msg {
-        Some(Message::Pong { id })
-    } else {
-        Some(Message::ErrorReply {
-            id: msg.id(),
-            code: ErrorCode::BadRequest,
-            message: format!("unexpected client frame type 0x{:02x}", msg.frame_type()),
-        })
-    };
-    let Some(reply) = reply else { return true };
-    match reply_tx.try_send(reply) {
-        Ok(()) => true,
-        Err(_) => {
-            // Reply queue full while we are still reading: the peer
-            // writes but does not read. Disconnect it.
-            WireMetrics::bump(&metrics.slow_reader_disconnects, 0, 1);
-            stream.shutdown_both();
-            false
+            if fatal {
+                return;
+            }
         }
     }
 }
 
-fn overloaded(id: u64, reason: OverloadReason, shared: &Arc<Shared>) -> Message {
-    Message::Overloaded {
-        id,
-        reason,
-        retry_after_ms: shared.cfg.retry_after_ms,
-    }
-}
-
-fn error_reply(id: u64, err: &WireError) -> Message {
-    Message::ErrorReply {
-        id,
-        code: ErrorCode::BadRequest,
-        message: err.to_string(),
-    }
-}
-
-/// Writer side of one connection: encode and flush queued replies.
-fn writer_loop(stream: &Arc<dyn WireStream>, reply_rx: &Receiver<Message>) {
-    let mut buf = Vec::with_capacity(4 * 1024);
-    while let Ok(msg) = reply_rx.recv() {
-        buf.clear();
-        encode_into(&msg, &mut buf);
-        if stream.write_frame(&buf).is_err() {
-            stream.shutdown_both();
-            return;
+/// Answers one decoded frame.
+fn serve_frame<B: WireBackend>(
+    msg: Message,
+    shared: &Shared<B>,
+    bucket: &mut TokenBucket,
+) -> Message {
+    let metrics = &shared.metrics;
+    match msg {
+        Message::LookupRequest { id, packets } => {
+            let vns = packets.iter().map(|&(vn, _)| vn);
+            if let Some(refusal) = admit_frame(id, vns, packets.len(), shared, bucket) {
+                return refusal;
+            }
+            WireMetrics::bump(&metrics.lookup_packets, packets.len() as u64);
+            let (results, generation) = shared.reader.lookup(&packets);
+            Message::LookupResponse {
+                id,
+                generation,
+                results,
+            }
         }
+        Message::RouteUpdateBatch { id, updates } => {
+            let vns = updates.iter().map(RouteUpdate::vnid);
+            if let Some(refusal) = admit_frame(id, vns, updates.len(), shared, bucket) {
+                return refusal;
+            }
+            WireMetrics::bump(&metrics.updates, updates.len() as u64);
+            let applied = match shared.backend.lock().as_mut() {
+                Some(backend) => backend.apply_updates(&updates),
+                None => Err("server is shutting down".into()),
+            };
+            match applied {
+                Ok(generation) => Message::UpdateAck { id, generation },
+                Err(message) => error_reply(id, ErrorCode::Internal, message),
+            }
+        }
+        Message::Ping { id } => Message::Pong { id },
+        other => error_reply(
+            other.id(),
+            ErrorCode::BadRequest,
+            format!("unexpected client frame type 0x{:02x}", other.frame_type()),
+        ),
     }
 }
 
-/// The single backend thread: owns the engine, serializes lookups and
-/// updates, scatters replies back to connection writer queues.
-fn backend_loop<B: WireBackend>(mut backend: B, job_rx: &Receiver<Job>, metrics: &WireMetrics) -> B {
-    while let Ok(job) = job_rx.recv() {
-        let reply = match job.msg {
-            Message::LookupRequest { id, packets } => {
-                WireMetrics::bump(&metrics.lookup_packets, 0, packets.len() as u64);
-                let (results, generation) = backend.lookup(&packets);
-                Message::LookupResponse {
-                    id,
-                    generation,
-                    results,
-                }
-            }
-            Message::RouteUpdateBatch { id, updates } => {
-                WireMetrics::bump(&metrics.updates, 0, updates.len() as u64);
-                match backend.apply_updates(&updates) {
-                    Ok(generation) => Message::UpdateAck { id, generation },
-                    Err(message) => Message::ErrorReply {
-                        id,
-                        code: ErrorCode::Internal,
-                        message,
-                    },
-                }
-            }
-            // The reader never forwards anything else.
-            other => Message::ErrorReply {
-                id: other.id(),
-                code: ErrorCode::Internal,
-                message: "non-work frame reached the backend".into(),
-            },
-        };
-        match job.reply.try_send(reply) {
-            Ok(()) => {}
-            Err(TrySendError::Full(_)) => {
-                // The client asked for work, then stopped reading the
-                // answers. Cut it loose rather than let its queue
-                // backpressure the shared backend.
-                WireMetrics::bump(&metrics.slow_reader_disconnects, 0, 1);
-                job.stream.shutdown_both();
-            }
-            Err(TrySendError::Disconnected(_)) => {}
-        }
+/// Admission for one work frame of `cost` items: the VN check, then the
+/// token bucket. `None` admits the frame; `Some` is the refusal.
+fn admit_frame<B: WireBackend>(
+    id: u64,
+    mut vns: impl Iterator<Item = VnId>,
+    cost: usize,
+    shared: &Shared<B>,
+    bucket: &mut TokenBucket,
+) -> Option<Message> {
+    WireMetrics::bump(&shared.metrics.requests, 1);
+    let networks = shared.reader.networks();
+    if let Some(vn) = vns.find(|&vn| usize::from(vn) >= networks) {
+        return Some(error_reply(
+            id,
+            ErrorCode::UnknownVn,
+            format!("virtual network {vn} is not hosted (this server hosts {networks})"),
+        ));
     }
-    backend
+    match bucket.try_take((cost as u64).max(1)) {
+        Draw::Granted => None,
+        Draw::Empty => {
+            WireMetrics::bump(&shared.metrics.shed_rate_limited, 1);
+            Some(Message::Overloaded {
+                id,
+                reason: OverloadReason::RateLimited,
+                retry_after_ms: shared.cfg.retry_after_ms,
+            })
+        }
+        Draw::Oversized { burst } => Some(error_reply(
+            id,
+            ErrorCode::BadRequest,
+            format!("frame of {cost} items exceeds the rate-limit burst of {burst}; split it"),
+        )),
+    }
+}
+
+fn error_reply(id: u64, code: ErrorCode, message: String) -> Message {
+    Message::ErrorReply { id, code, message }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use std::io::Write;
+
+    /// VNs the fake hosts.
+    const FAKE_NETWORKS: usize = 8;
 
     /// Deterministic engine stand-in: next hop = low byte of (vn + dst),
-    /// zero dst = no route; updates bump the generation. `lookup_delay`
-    /// simulates a slow backend for the queue-watermark tests.
+    /// zero dst = no route; updates bump the shared generation.
     struct FakeBackend {
-        generation: u64,
+        reader: FakeReader,
+    }
+
+    /// The fake's read side. `lookup_delay` simulates a slow walk;
+    /// `in_progress` tracks `(lookups running now, most ever at once)`.
+    #[derive(Clone)]
+    struct FakeReader {
+        generation: Arc<Mutex<u64>>,
         lookup_delay: Duration,
+        in_progress: Arc<Mutex<(usize, usize)>>,
     }
 
     impl FakeBackend {
         fn new() -> Self {
+            Self::with_delay(Duration::ZERO)
+        }
+
+        fn with_delay(lookup_delay: Duration) -> Self {
             Self {
-                generation: 1,
-                lookup_delay: Duration::ZERO,
+                reader: FakeReader {
+                    generation: Arc::new(Mutex::new(1)),
+                    lookup_delay,
+                    in_progress: Arc::new(Mutex::new((0, 0))),
+                },
             }
+        }
+
+        fn generation(&self) -> u64 {
+            *self.reader.generation.lock()
         }
 
         fn expected(vn: VnId, dst: u32) -> Option<NextHop> {
@@ -770,28 +669,44 @@ mod tests {
         }
     }
 
-    impl WireBackend for FakeBackend {
-        fn lookup(&mut self, packets: &[(VnId, u32)]) -> (Vec<Option<NextHop>>, u64) {
+    impl WireReader for FakeReader {
+        fn networks(&self) -> usize {
+            FAKE_NETWORKS
+        }
+
+        fn lookup(&self, packets: &[(VnId, u32)]) -> (Vec<Option<NextHop>>, u64) {
+            {
+                let mut progress = self.in_progress.lock();
+                progress.0 += 1;
+                progress.1 = progress.1.max(progress.0);
+            }
             if !self.lookup_delay.is_zero() {
                 std::thread::sleep(self.lookup_delay);
             }
             let results = packets
                 .iter()
-                .map(|&(vn, dst)| Self::expected(vn, dst))
+                .map(|&(vn, dst)| FakeBackend::expected(vn, dst))
                 .collect();
-            (results, self.generation)
+            let generation = *self.generation.lock();
+            self.in_progress.lock().0 -= 1;
+            (results, generation)
+        }
+    }
+
+    impl WireBackend for FakeBackend {
+        type Reader = FakeReader;
+
+        fn reader(&self) -> FakeReader {
+            self.reader.clone()
         }
 
         fn apply_updates(&mut self, updates: &[RouteUpdate]) -> Result<u64, String> {
             if updates.is_empty() {
                 return Err("empty update batch".into());
             }
-            self.generation += 1;
-            Ok(self.generation)
-        }
-
-        fn generation(&self) -> u64 {
-            self.generation
+            let mut generation = self.reader.generation.lock();
+            *generation += 1;
+            Ok(*generation)
         }
     }
 
@@ -800,6 +715,10 @@ mod tests {
             WireServer::serve_tcp("127.0.0.1:0", FakeBackend::new(), cfg, None).expect("bind");
         let addr = server.local_addr().expect("tcp addr");
         (server, addr)
+    }
+
+    fn counter(registry: &MetricsRegistry, name: &str) -> u64 {
+        registry.snapshot().counter(name).unwrap_or(0)
     }
 
     #[test]
@@ -831,14 +750,20 @@ mod tests {
             next_hop: 4,
         };
         let ack = client.apply_updates(&[update]).expect("update");
-        assert!(matches!(ack, Message::UpdateAck { generation: 2, .. }), "got {ack:?}");
+        assert!(
+            matches!(ack, Message::UpdateAck { generation: 2, .. }),
+            "got {ack:?}"
+        );
 
         // Lookups after the ack see the new generation.
         let reply = client.lookup(&packets).expect("lookup 2");
-        assert!(matches!(reply, Message::LookupResponse { generation: 2, .. }));
+        assert!(matches!(
+            reply,
+            Message::LookupResponse { generation: 2, .. }
+        ));
 
         let backend = server.shutdown().expect("backend returns");
-        assert_eq!(backend.generation, 2);
+        assert_eq!(backend.generation(), 2);
     }
 
     #[test]
@@ -901,47 +826,201 @@ mod tests {
     }
 
     #[test]
-    fn full_job_queue_sheds_with_queue_full() {
+    fn frame_beyond_the_burst_is_a_bad_request_not_a_retry() {
         let cfg = ServerConfig {
-            job_queue_depth: 1,
-            writer_queue_depth: 64,
+            rate_limit_pps: 1_000,
+            rate_burst: 4,
             ..ServerConfig::default()
         };
-        let mut backend = FakeBackend::new();
-        backend.lookup_delay = Duration::from_millis(50);
-        let server = WireServer::serve_tcp("127.0.0.1:0", backend, cfg, None).expect("bind");
+        let (server, addr) = start_tcp(cfg);
+        let mut client = crate::WireClient::connect_tcp(addr).expect("connect");
+        let eight: Vec<(VnId, u32)> = (1..=8).map(|d| (0, d)).collect();
+        match client.lookup(&eight).expect("oversized frame replied") {
+            Message::ErrorReply {
+                code: ErrorCode::BadRequest,
+                message,
+                ..
+            } => assert!(
+                message.contains('8') && message.contains('4'),
+                "names frame size and burst: {message}"
+            ),
+            other => panic!("expected BadRequest, got {other:?}"),
+        }
+        let four = client.lookup(&eight[..4]).expect("burst-sized frame");
+        assert!(
+            matches!(four, Message::LookupResponse { .. }),
+            "got {four:?}"
+        );
+        client.ping().expect("connection stays open");
+        drop(server);
+    }
+
+    /// A real two-VN control plane: VN ids must be refused at the wire,
+    /// before they index the trie.
+    fn two_vn_plane() -> vr_control::ControlPlane {
+        let tables: Vec<vr_net::RoutingTable> = ["10.0.0.0/8 1\n", "10.1.1.0/24 3\n"]
+            .iter()
+            .map(|t| t.parse().expect("table"))
+            .collect();
+        let service = vr_engine::LookupService::new(tables, vr_engine::ServiceConfig::default())
+            .expect("service");
+        vr_control::ControlPlane::new(service, vr_control::ControlConfig::default())
+            .expect("control plane")
+    }
+
+    #[test]
+    fn unknown_vn_gets_a_typed_error_and_serving_continues() {
+        let server =
+            WireServer::serve_tcp("127.0.0.1:0", two_vn_plane(), ServerConfig::default(), None)
+                .expect("bind");
         let addr = server.local_addr().expect("addr");
         let mut client = crate::WireClient::connect_tcp(addr).expect("connect");
-        client
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("timeout");
-        // Flood without reading: the slow backend drains one job at a
-        // time, so most of the burst must bounce off the depth-1 queue.
-        let burst = 8;
-        for i in 0..burst {
-            client
-                .send(&Message::LookupRequest {
-                    id: 100 + i,
-                    packets: vec![(0, 1)],
-                })
-                .expect("send");
-        }
-        let mut served = 0;
-        let mut shed = 0;
-        for _ in 0..burst {
-            match client.recv().expect("reply") {
-                Message::LookupResponse { .. } => served += 1,
-                Message::Overloaded {
-                    reason: OverloadReason::QueueFull,
+        let is_unknown_vn = |m: &Message| {
+            matches!(
+                m,
+                Message::ErrorReply {
+                    code: ErrorCode::UnknownVn,
                     ..
-                } => shed += 1,
-                other => panic!("unexpected reply {other:?}"),
-            }
+                }
+            )
+        };
+        for vn in [2u16, 500] {
+            let reply = client
+                .lookup(&[(0, 0x0A01_0101), (vn, 0x0A01_0101)])
+                .expect("reply");
+            assert!(is_unknown_vn(&reply), "vn {vn}: got {reply:?}");
         }
-        assert!(served >= 1, "at least one admitted");
-        assert!(shed >= 1, "at least one shed, served={served}");
-        // Live after the storm.
-        client.ping().expect("connection survived");
+        let update = RouteUpdate::Withdraw {
+            vnid: 2,
+            prefix: vr_net::Ipv4Prefix::new(0x0A00_0000, 8).expect("prefix"),
+        };
+        let reply = client.apply_updates(&[update]).expect("update reply");
+        assert!(is_unknown_vn(&reply), "update: got {reply:?}");
+        let want = Message::LookupResponse {
+            id: 0,
+            generation: 0,
+            results: vec![Some(1), Some(3)],
+        };
+        let packets = [(0, 0x0A01_0101), (1, 0x0A01_0101)];
+        for mut conn in [
+            client,
+            crate::WireClient::connect_tcp(addr).expect("reconnect"),
+        ] {
+            let Message::LookupResponse {
+                generation,
+                results,
+                ..
+            } = conn.lookup(&packets).expect("still served")
+            else {
+                panic!("expected a LookupResponse");
+            };
+            assert_eq!(
+                Message::LookupResponse {
+                    id: 0,
+                    generation,
+                    results
+                },
+                want
+            );
+        }
+        let plane = server.shutdown().expect("backend");
+        assert_eq!(
+            plane.service().generation(),
+            0,
+            "refused update never applied"
+        );
+    }
+
+    #[test]
+    fn pipelined_burst_is_answered_in_order_without_shedding() {
+        let cfg = ServerConfig {
+            max_connections: 2,
+            ..ServerConfig::default()
+        };
+        let backend = FakeBackend::with_delay(Duration::from_millis(10));
+        let progress = Arc::clone(&backend.reader.in_progress);
+        let server = WireServer::serve_tcp("127.0.0.1:0", backend, cfg, None).expect("bind");
+        let addr = server.local_addr().expect("addr");
+        // Two connections each send a burst without reading, then read
+        // every reply: each burst comes back whole, in request order.
+        let bursts: Vec<_> = (0..2u32)
+            .map(|conn| {
+                std::thread::spawn(move || {
+                    let mut client = crate::WireClient::connect_tcp(addr).expect("connect");
+                    client
+                        .set_read_timeout(Some(Duration::from_secs(10)))
+                        .expect("timeout");
+                    let burst = 8u64;
+                    for i in 0..burst {
+                        let packets = vec![(0, conn * 100 + i as u32 + 1)];
+                        client
+                            .send(&Message::LookupRequest {
+                                id: 100 + i,
+                                packets,
+                            })
+                            .expect("send");
+                    }
+                    for i in 0..burst {
+                        match client.recv().expect("reply") {
+                            Message::LookupResponse { id, results, .. } => {
+                                assert_eq!(id, 100 + i, "replies in request order");
+                                let dst = conn * 100 + i as u32 + 1;
+                                assert_eq!(results, vec![FakeBackend::expected(0, dst)]);
+                            }
+                            other => panic!("burst frame not served: {other:?}"),
+                        }
+                    }
+                    client.ping().expect("live after the burst");
+                })
+            })
+            .collect();
+        for burst in bursts {
+            burst.join().expect("burst client");
+        }
+        // One frame in progress per connection bounds the server-wide
+        // in-progress count by the connection bound.
+        let (now, most) = *progress.lock();
+        assert_eq!(now, 0);
+        assert!((1..=2).contains(&most), "{most} lookups ran at once");
+        drop(server);
+    }
+
+    #[test]
+    fn slow_reader_is_disconnected_and_others_keep_being_served() {
+        let registry = Arc::new(MetricsRegistry::new(1));
+        let cfg = ServerConfig {
+            write_timeout_ms: 200,
+            ..ServerConfig::default()
+        };
+        let server = WireServer::serve_tcp("127.0.0.1:0", FakeBackend::new(), cfg, Some(&registry))
+            .expect("bind");
+        let addr = server.local_addr().expect("addr");
+        // Pipeline large lookups and never read a reply: once the socket
+        // buffers fill, the server's reply write times out.
+        let mut peer = TcpStream::connect(addr).expect("connect");
+        peer.set_write_timeout(Some(Duration::from_secs(10)))
+            .expect("write timeout");
+        let frame = encode(&Message::LookupRequest {
+            id: 1,
+            packets: (1..=60_000).map(|d| (0, d)).collect(),
+        });
+        let sent = (0..2_000)
+            .take_while(|_| peer.write_all(&frame).is_ok())
+            .count();
+        // The peer's write fails only once the server closed the socket,
+        // which it does right after counting the disconnect.
+        assert!(sent < 2_000, "the server never stopped reading");
+        assert_eq!(
+            counter(&registry, "vr_wire_slow_reader_disconnects_total"),
+            1
+        );
+        let mut other = crate::WireClient::connect_tcp(addr).expect("second connection");
+        let reply = other.lookup(&[(1, 5)]).expect("served");
+        assert!(
+            matches!(reply, Message::LookupResponse { .. }),
+            "got {reply:?}"
+        );
+        drop(peer);
         drop(server);
     }
 
@@ -949,8 +1028,9 @@ mod tests {
     #[test]
     fn uds_round_trip() {
         let path = std::env::temp_dir().join(format!("vr-wire-test-{}.sock", std::process::id()));
-        let server = WireServer::serve_uds(&path, FakeBackend::new(), ServerConfig::default(), None)
-            .expect("bind uds");
+        let server =
+            WireServer::serve_uds(&path, FakeBackend::new(), ServerConfig::default(), None)
+                .expect("bind uds");
         let mut client = crate::WireClient::connect_uds(&path).expect("connect uds");
         let reply = client.lookup(&[(1, 5), (2, 0)]).expect("lookup");
         let Message::LookupResponse { results, .. } = reply else {
@@ -979,11 +1059,9 @@ mod tests {
         let _ = client.lookup(&[(0, 1)]).expect("lookup");
         drop(client);
         let backend = server.shutdown().expect("backend");
-        assert_eq!(backend.generation, 1);
-        let snap = registry.snapshot();
-        let count = |name: &str| snap.counters.iter().find(|c| c.name == name).map(|c| c.value);
-        assert_eq!(count("vr_wire_connections_total"), Some(1));
-        assert_eq!(count("vr_wire_requests_total"), Some(1));
-        assert_eq!(count("vr_wire_lookup_packets_total"), Some(1));
+        assert_eq!(backend.generation(), 1);
+        assert_eq!(counter(&registry, "vr_wire_connections_total"), 1);
+        assert_eq!(counter(&registry, "vr_wire_requests_total"), 1);
+        assert_eq!(counter(&registry, "vr_wire_lookup_packets_total"), 1);
     }
 }
