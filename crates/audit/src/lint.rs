@@ -1,5 +1,5 @@
 //! Source lints for the workspace, run by `vr-audit lint` and the CI
-//! `audit` job. Seven rules:
+//! `audit` job. Nine rules, numbered as README and CI cite them:
 //!
 //! 1. **no-unsafe** — `unsafe` is forbidden everywhere outside `vendor/`
 //!    (the crates also carry `#![forbid(unsafe_code)]`, but that only
@@ -26,11 +26,10 @@
 //!    incremental control plane exists to avoid. The one sanctioned
 //!    full-rebuild fallback is waived through the allowlist, so any new
 //!    clone needs an explicit entry (and a reviewer's eyes) to land.
-//! 6. **no-prefetch-outside-lane** — the `_mm_prefetch` intrinsic (and
-//!    with it the workspace's only `#[allow(unsafe_code)]`) lives in
-//!    exactly one audited place: the lane stepper ([`PREFETCH_HOME`]).
-//!    Anywhere else it fires, keeping `unsafe_code = forbid` meaningful
-//!    across the rest of the workspace.
+//! 6. *(retired)* — no-prefetch-outside-lane pinned the prefetch
+//!    intrinsic to the lane stepper. The stepper is gone and every
+//!    first-party crate forbids `unsafe_code`, so the compiler rejects
+//!    the intrinsic anywhere; the number is not reused.
 //! 7. **no-raw-cache-slot** — reading a result-cache slot's stored
 //!    next-hop (a raw `.nhi` field access) is forbidden in engine
 //!    modules outside the cache's own module ([`CACHE_HOME`]): every
@@ -70,10 +69,9 @@ use std::path::{Path, PathBuf};
 /// Hot-path modules where `.unwrap()` / `.expect(` are forbidden
 /// (allowlist entries excepted): the per-packet lookup datapath and the
 /// table-swap service.
-pub const HOT_PATH_FILES: [&str; 10] = [
+pub const HOT_PATH_FILES: [&str; 9] = [
     "crates/trie/src/flat.rs",
     "crates/trie/src/jump.rs",
-    "crates/trie/src/lane.rs",
     "crates/engine/src/service.rs",
     "crates/engine/src/sharded.rs",
     "crates/engine/src/datapath.rs",
@@ -113,11 +111,6 @@ pub const TIMED_FILES: [&str; 10] = [
 /// O(K·table) copy the incremental update engine removed.
 pub const PUBLISH_PATH_FILES: [&str; 2] =
     ["crates/engine/src/service.rs", "crates/engine/src/sharded.rs"];
-
-/// The one module allowed to use the software-prefetch intrinsic (and
-/// the `#[allow(unsafe_code)]` wrapping it): the lane stepper. Everywhere
-/// else `_mm_prefetch` fires [`LintRule::NoPrefetchOutsideLane`].
-pub const PREFETCH_HOME: &str = "crates/trie/src/lane.rs";
 
 /// The one engine module allowed to touch a result-cache slot's stored
 /// `.nhi` field: the cache itself, whose probe API pairs every read with
@@ -196,9 +189,6 @@ pub enum LintRule {
     /// `tables.clone()` on the service publish path outside the
     /// sanctioned full-rebuild fallback.
     NoTablesClone,
-    /// The `_mm_prefetch` intrinsic outside its sanctioned home, the
-    /// lane stepper module.
-    NoPrefetchOutsideLane,
     /// A raw `.nhi` cache-slot field access in an engine module outside
     /// the generation-checked probe API's home module.
     NoRawCacheSlot,
@@ -222,7 +212,6 @@ impl LintRule {
             LintRule::NoRawPowerLiteral => "no-raw-power-literal",
             LintRule::NoRawInstant => "no-raw-instant",
             LintRule::NoTablesClone => "no-tables-clone",
-            LintRule::NoPrefetchOutsideLane => "no-prefetch-outside-lane",
             LintRule::NoRawCacheSlot => "no-raw-cache-slot",
             LintRule::NoRawAtomic => "no-raw-atomic",
             LintRule::NoRelaxedPublish => "no-relaxed-publish",
@@ -578,11 +567,6 @@ fn lint_file(
                 push(LintRule::NoTablesClone, col);
             }
         }
-        if !in_tests && !path_matches(rel, &[PREFETCH_HOME]) {
-            if let Some(col) = stripped.find("_mm_prefetch") {
-                push(LintRule::NoPrefetchOutsideLane, col);
-            }
-        }
         if !in_tests && rel.starts_with(CACHE_SLOT_SCOPE) && !path_matches(rel, &[CACHE_HOME]) {
             if let Some(col) = find_field_access(&stripped, ".nhi") {
                 push(LintRule::NoRawCacheSlot, col);
@@ -764,24 +748,6 @@ mod tests {
         // Test modules are exempt like every other rule.
         let test_text = "fn f() {}\n#[cfg(test)]\nmod tests { fn g() { let t = s.tables.clone(); } }\n";
         assert!(lint_text("crates/engine/src/service.rs", test_text, "").is_empty());
-    }
-
-    #[test]
-    fn prefetch_is_confined_to_the_lane_module() {
-        let text = "core::arch::x86_64::_mm_prefetch::<0>(p);\n";
-        let findings = lint_text("crates/trie/src/jump.rs", text, "");
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, LintRule::NoPrefetchOutsideLane);
-        // The engine must not grow its own prefetch either.
-        assert_eq!(
-            lint_text("crates/engine/src/sharded.rs", text, "")[0].rule,
-            LintRule::NoPrefetchOutsideLane
-        );
-        // In its sanctioned home the intrinsic is fine.
-        assert!(lint_text(PREFETCH_HOME, text, "").is_empty());
-        // Mentions in comments and strings do not fire.
-        let prose = "// _mm_prefetch in prose\nlet s = \"_mm_prefetch\";\n";
-        assert!(lint_text("crates/engine/src/service.rs", prose, "").is_empty());
     }
 
     #[test]

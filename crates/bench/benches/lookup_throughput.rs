@@ -151,12 +151,6 @@ fn bench_lookup(c: &mut Criterion) {
             out.iter().filter(|nh| nh.is_some()).count()
         })
     });
-    batched.bench_function("jump_trie", |b| {
-        b.iter(|| {
-            jump.lookup_batch(black_box(&probes), &mut out);
-            out.iter().filter(|nh| nh.is_some()).count()
-        })
-    });
 
     // Batch-size sensitivity on the flat layout: how wide does the batch
     // need to be before the per-level slab scans amortise?

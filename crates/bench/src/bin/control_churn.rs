@@ -117,7 +117,7 @@ fn ab_throughput(
 ) -> (f64, f64, usize, u64, u64) {
     let service_cfg = |full_rebuild| ServiceConfig {
         workers: 1,
-        batch_width: Some(32),
+        batch_width: 32,
         full_rebuild,
         ..ServiceConfig::default()
     };
@@ -186,7 +186,7 @@ fn trajectory(
         tables.to_vec(),
         ServiceConfig {
             workers: 1,
-            batch_width: Some(32),
+            batch_width: 32,
             ..ServiceConfig::default()
         },
     )
@@ -228,7 +228,7 @@ fn forced_drop(tables: &[RoutingTable]) -> ForcedDrop {
         tables.to_vec(),
         ServiceConfig {
             workers: 1,
-            batch_width: Some(32),
+            batch_width: 32,
             ..ServiceConfig::default()
         },
     )

@@ -439,7 +439,7 @@ mod tests {
             tables,
             ServiceConfig {
                 workers: 1,
-                batch_width: Some(8),
+                batch_width: 8,
                 ..ServiceConfig::default()
             },
         )
@@ -463,7 +463,7 @@ mod tests {
             paired_tables(),
             ServiceConfig {
                 workers: 1,
-                batch_width: Some(8),
+                batch_width: 8,
                 queue_depth: 1,
                 trace_sample: Some(1),
                 ..ServiceConfig::default()

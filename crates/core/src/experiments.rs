@@ -1405,7 +1405,7 @@ pub struct ServiceRow {
     pub k: usize,
     /// Worker shards.
     pub workers: usize,
-    /// Batch width in effect (sweep-selected).
+    /// Batch width in effect (`ServiceConfig::batch_width`).
     pub batch_width: usize,
     /// End-to-end throughput in packets per second.
     pub packets_per_sec: f64,

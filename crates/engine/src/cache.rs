@@ -2,9 +2,8 @@
 //!
 //! Real router traffic is heavily skewed: a small set of hot destinations
 //! dominates, yet every lookup still pays the full DIR-16 root load plus
-//! sub-slab chase (and, for mixed-VN batches, the per-VN group/scatter of
-//! `lookup_batch_mixed`). This module short-circuits the repeat lookups
-//! with a per-worker **result cache** in front of the lane stepper:
+//! sub-slab chase. This module short-circuits the repeat lookups with a
+//! per-worker **result cache** in front of the scalar walk:
 //!
 //! * **Direct-mapped, fixed-size, power-of-two** slot array keyed by
 //!   `(dst_addr, vnid)` and storing the encoded next-hop result — 16
@@ -20,11 +19,10 @@
 //!   `ShardedService` shard thread owns its own cache; nothing is shared,
 //!   so the probe/fill path is plain single-threaded loads and stores.
 //! * **Allocation-free batch flow.** [`LpmCache::lookup_batch`] probes
-//!   the whole batch (prefetching slots [`SLOT_AHEAD`] packets ahead),
-//!   compacts the misses into a dense sub-batch, walks *only the misses*
-//!   through the trie's batched lane path, then scatters the results back
-//!   into submission order and fills the slots. The miss scratch buffers
-//!   live in the cache and are reused across batches.
+//!   the whole batch, compacts the misses into a dense sub-batch, walks
+//!   *only the misses* through `lookup_batch_mixed`, then scatters the
+//!   results back into submission order and fills the slots. The miss
+//!   scratch buffers live in the cache and are reused across batches.
 //!
 //! Negative results are cached too: "no route" is as deterministic a
 //! function of `(table generation, dst, vnid)` as any next hop.
@@ -38,7 +36,6 @@ use vr_net::table::NextHop;
 use vr_net::VnId;
 use vr_obs::{Stage, TraceBuilder};
 use vr_sync::GenTag;
-use vr_trie::lane::prefetch_index;
 use vr_trie::JumpTrie;
 
 use crate::service::lookup_batch_mixed;
@@ -49,10 +46,6 @@ use crate::EngineError;
 /// at paper scale (K=15 × 3725 prefixes ≈ 56 K distinct covered
 /// destinations) holds the bulk of the working set.
 pub const DEFAULT_CACHE_SLOTS: usize = 1 << 16;
-
-/// How many packets ahead of the probe cursor the slot line is
-/// prefetched, mirroring the lane stepper's root-sweep lookahead.
-const SLOT_AHEAD: usize = 8;
 
 /// Fibonacci hashing constant (2^64 / φ) spreading the packed
 /// `(vnid, dst)` key across the slot array.
@@ -258,10 +251,9 @@ impl LpmCache {
     }
 
     /// Resolves a possibly mixed-VN batch against `trie` at `generation`,
-    /// answering repeats from the cache: probe all packets (slots
-    /// prefetched [`SLOT_AHEAD`] ahead), compact the misses, batch-walk
-    /// only the misses through the lane stepper, scatter the results back
-    /// into submission order, and fill the freshly walked slots.
+    /// answering repeats from the cache: probe all packets, compact the
+    /// misses, walk only the misses, scatter the results back into
+    /// submission order, and fill the freshly walked slots.
     ///
     /// Results are bit-identical to an uncached
     /// `lookup_batch_mixed(trie, packets, out)` — the cache-parity
@@ -324,9 +316,6 @@ impl LpmCache {
         self.miss_idx.clear();
         self.miss_packets.clear();
         for i in 0..n {
-            if let Some(&(vn_a, dst_a)) = packets.get(i + SLOT_AHEAD) {
-                prefetch_index(&self.slots, self.index(vn_a, dst_a) as u32);
-            }
             let (vnid, dst) = packets[i];
             let slot = self.slots[self.index(vnid, dst)];
             if slot.generation.matches(generation) && slot.dst == dst && slot.vnid == vnid {
@@ -344,8 +333,8 @@ impl LpmCache {
         m
     }
 
-    /// Walk phase: resolves the compacted misses through the trie's
-    /// batched lane path into the miss scratch.
+    /// Walk phase: resolves the compacted misses into the miss scratch,
+    /// one scalar walk per packet.
     #[inline]
     fn walk_phase(&mut self, trie: &JumpTrie) {
         let m = self.miss_packets.len();

@@ -76,20 +76,21 @@ pub struct TableSnapshot {
     pub generation: u64,
 }
 
-/// Batch widths tried by the construction-time sweep when
-/// [`ServiceConfig::batch_width`] is `None`. PR 1 hardcoded 8 and paid
-/// for it (paper-scale speedup ~1.0x); the sweet spot is machine- and
-/// table-dependent, so we measure instead of guessing.
-pub const BATCH_WIDTH_CANDIDATES: [usize; 6] = [8, 16, 32, 64, 128, 256];
+/// Default [`ServiceConfig::batch_width`]: wide enough that a batch's
+/// fixed costs (two SPSC hops, one snapshot pin, two histogram records)
+/// stay small next to its walks.
+pub const DEFAULT_BATCH_WIDTH: usize = 256;
 
 /// Tuning knobs of a [`LookupService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServiceConfig {
     /// Worker threads (shards). Each owns an order-preserving input FIFO.
     pub workers: usize,
-    /// Lookup batch width; `None` picks one by sweeping
-    /// [`BATCH_WIDTH_CANDIDATES`] against the freshly built table.
-    pub batch_width: Option<usize>,
+    /// Packets per batch when [`LookupService::process`] splits work
+    /// across the worker pool. The walk is per packet, so this only
+    /// sets how far each batch's fixed costs amortise; it must be
+    /// positive.
+    pub batch_width: usize,
     /// Depth of each worker's input queue, in batches; producers block
     /// (backpressure) once a shard is this far behind.
     pub queue_depth: usize,
@@ -141,7 +142,7 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
             workers: std::thread::available_parallelism().map_or(2, |n| n.get().min(8)),
-            batch_width: None,
+            batch_width: DEFAULT_BATCH_WIDTH,
             queue_depth: 64,
             telemetry: true,
             full_rebuild: false,
@@ -176,7 +177,7 @@ struct Job {
 }
 
 /// Registry handles owned by the service's control plane. Workers get
-/// their own cloned [`WorkerMetrics`]; these cover publish/audit/tuning
+/// their own cloned [`WorkerMetrics`]; these cover publish/audit
 /// paths that run on the caller's thread.
 struct ServiceTelemetry {
     registry: Arc<MetricsRegistry>,
@@ -317,7 +318,7 @@ struct Worker {
 pub struct ServiceReport {
     /// Worker threads the service ran with.
     pub workers: usize,
-    /// Batch width in effect (post-sweep).
+    /// Batch width in effect ([`ServiceConfig::batch_width`]).
     pub batch_width: usize,
     /// Lookups resolved.
     pub lookups: u64,
@@ -488,79 +489,28 @@ impl LookupReader {
     }
 }
 
-/// Resolves a possibly mixed-VN batch against one trie, preserving
-/// per-packet output positions. Uniform-VN batches (the common case —
-/// the dispatcher shards by flow) take the direct stage-lockstep path;
-/// mixed batches are grouped per VN and scattered back. Public so the
-/// bench can measure it as the uncached baseline the result cache is
-/// compared against.
+/// Resolves a possibly mixed-VN batch against one trie: element `i` of
+/// `out` receives `trie.lookup_vn(packets[i].0, packets[i].1)`. One
+/// scalar walk per packet, no grouping and no allocation; independent
+/// walks already overlap in an out-of-order core. Public so the bench
+/// can measure it as the uncached baseline the result cache is compared
+/// against.
+///
+/// # Panics
+/// If `packets` and `out` differ in length.
 pub fn lookup_batch_mixed(
     trie: &JumpTrie,
     packets: &[(VnId, u32)],
     out: &mut [Option<NextHop>],
 ) {
-    debug_assert_eq!(packets.len(), out.len());
-    let Some(&(first_vn, _)) = packets.first() else {
-        return;
-    };
-    if packets.iter().all(|&(vn, _)| vn == first_vn) {
-        let dsts: Vec<u32> = packets.iter().map(|&(_, d)| d).collect();
-        trie.lookup_batch_vn(usize::from(first_vn), &dsts, out);
-        return;
+    assert_eq!(
+        packets.len(),
+        out.len(),
+        "batch destination and output slices must match"
+    );
+    for (slot, &(vn, dst)) in out.iter_mut().zip(packets) {
+        *slot = trie.lookup_vn(usize::from(vn), dst);
     }
-    // Group lanes by VN; K ≤ 64 so a flat scan of small groups is fine.
-    let mut groups: Vec<(VnId, Vec<u32>, Vec<u32>)> = Vec::new();
-    for (i, &(vn, dst)) in packets.iter().enumerate() {
-        let group = match groups.iter_mut().find(|(v, _, _)| *v == vn) {
-            Some(g) => g,
-            None => {
-                groups.push((vn, Vec::new(), Vec::new()));
-                groups.last_mut().expect("just pushed")
-            }
-        };
-        group.1.push(dst);
-        group.2.push(u32::try_from(i).expect("batch too large"));
-    }
-    let mut scratch: Vec<Option<NextHop>> = Vec::new();
-    for (vn, dsts, idxs) in &groups {
-        scratch.clear();
-        scratch.resize(dsts.len(), None);
-        trie.lookup_batch_vn(usize::from(*vn), dsts, &mut scratch);
-        for (&idx, &nh) in idxs.iter().zip(scratch.iter()) {
-            out[idx as usize] = nh;
-        }
-    }
-}
-
-/// Measures each candidate width against the trie and returns the one
-/// with the lowest ns/lookup. Cheap (one pass per candidate) and run
-/// once at service construction.
-#[must_use]
-pub fn tune_batch_width(trie: &JumpTrie, probes: &[u32], candidates: &[usize]) -> usize {
-    assert!(!candidates.is_empty(), "need at least one candidate width");
-    if probes.is_empty() {
-        return candidates[0];
-    }
-    let mut best = (candidates[0], f64::INFINITY);
-    let mut out = vec![None; probes.len()];
-    for &width in candidates {
-        // One untimed pass warms the slabs so the first candidate is not
-        // penalized for faulting pages in.
-        for chunk_start in (0..probes.len()).step_by(width) {
-            let chunk = &probes[chunk_start..(chunk_start + width).min(probes.len())];
-            trie.lookup_batch(chunk, &mut out[..chunk.len()]);
-        }
-        let watch = Stopwatch::start();
-        for chunk_start in (0..probes.len()).step_by(width) {
-            let chunk = &probes[chunk_start..(chunk_start + width).min(probes.len())];
-            trie.lookup_batch(chunk, &mut out[..chunk.len()]);
-        }
-        let ns = watch.elapsed_ns() as f64 / probes.len() as f64;
-        if ns < best.1 {
-            best = (width, ns);
-        }
-    }
-    best.0
 }
 
 /// N-shard concurrent lookup service over an immutable, atomically
@@ -612,14 +562,17 @@ impl LookupService {
     /// Builds the jump trie and spawns the worker shards.
     ///
     /// # Errors
-    /// Rejects an empty table set, zero workers, and merge failures
-    /// (more than 64 virtual networks).
+    /// Rejects an empty table set, zero workers, a zero batch width, and
+    /// merge failures (more than 64 virtual networks).
     pub fn new(tables: Vec<RoutingTable>, cfg: ServiceConfig) -> Result<Self, EngineError> {
         if tables.is_empty() {
             return Err(EngineError::InvalidParameter("need at least one table"));
         }
         if cfg.workers == 0 {
             return Err(EngineError::InvalidParameter("need at least one worker"));
+        }
+        if cfg.batch_width == 0 {
+            return Err(EngineError::InvalidParameter("batch width must be positive"));
         }
         if cfg.lookup_cache == Some(0) {
             return Err(EngineError::InvalidParameter(
@@ -637,28 +590,8 @@ impl LookupService {
             .map(|sample| Tracer::new(sample, DEFAULT_TRACE_CAPACITY));
         let trie = Self::build_trie(&tables)?;
         Self::audit_snapshot(&trie, telemetry.as_ref().map(|t| &t.audit))?;
-        let batch_width = match cfg.batch_width {
-            Some(0) => {
-                return Err(EngineError::InvalidParameter("batch width must be positive"))
-            }
-            Some(w) => w,
-            None => {
-                let probes: Vec<u32> = tables
-                    .iter()
-                    .flat_map(|t| t.prefixes().map(|p| p.addr() | 0x7F))
-                    .take(4096)
-                    .collect();
-                let width = tune_batch_width(&trie, &probes, &BATCH_WIDTH_CANDIDATES);
-                if let Some(t) = &telemetry {
-                    t.registry.events().publish(EventKind::BatchRetune {
-                        width: width as u64,
-                    });
-                }
-                width
-            }
-        };
         if let Some(t) = &telemetry {
-            t.batch_width.set(batch_width as u64);
+            t.batch_width.set(cfg.batch_width as u64);
             t.generation.set(0);
         }
         let reader = LookupReader {
@@ -687,10 +620,10 @@ impl LookupService {
             reader,
             tables,
             workers,
-            batch_width,
+            batch_width: cfg.batch_width,
             next_seq: 0,
             in_flight: vec![0; cfg.workers],
-            report: ServiceReport::new(cfg.workers, batch_width),
+            report: ServiceReport::new(cfg.workers, cfg.batch_width),
             telemetry,
             tracer,
             full_rebuild: cfg.full_rebuild,
@@ -771,7 +704,7 @@ impl LookupService {
                         }
                         resolved
                     }
-                    // Cached path: probe, batch-walk only the misses,
+                    // Cached path: probe, walk only the misses,
                     // scatter + fill. The snapshot's generation doubles
                     // as the slot tag, so a publish that happened since
                     // the last batch invalidates every slot for free.
@@ -831,7 +764,7 @@ impl LookupService {
         self.workers.len()
     }
 
-    /// Batch width in effect (configured or sweep-selected).
+    /// Batch width in effect ([`ServiceConfig::batch_width`]).
     #[must_use]
     pub fn batch_width(&self) -> usize {
         self.batch_width
@@ -1298,7 +1231,7 @@ mod tests {
     fn small_cfg(workers: usize) -> ServiceConfig {
         ServiceConfig {
             workers,
-            batch_width: Some(16),
+            batch_width: 16,
             queue_depth: 8,
             telemetry: true,
             ..ServiceConfig::default()
@@ -1544,7 +1477,7 @@ mod tests {
         assert!(LookupService::new(vec![t.clone()], small_cfg(0)).is_err());
         let zero_width = ServiceConfig {
             workers: 1,
-            batch_width: Some(0),
+            batch_width: 0,
             queue_depth: 4,
             ..ServiceConfig::default()
         };
@@ -1557,25 +1490,53 @@ mod tests {
     }
 
     #[test]
-    fn auto_tuned_width_comes_from_the_candidate_sweep() {
+    fn default_width_is_the_fixed_constant() {
         let t = TableSpec::paper_worst_case(5).generate().unwrap();
         let cfg = ServiceConfig {
             workers: 1,
-            batch_width: None,
             queue_depth: 4,
             ..ServiceConfig::default()
         };
         let service = LookupService::new(vec![t], cfg).unwrap();
-        assert!(BATCH_WIDTH_CANDIDATES.contains(&service.batch_width()));
-        let _ = service.shutdown();
+        assert_eq!(service.batch_width(), DEFAULT_BATCH_WIDTH);
+        let report = service.shutdown();
+        assert_eq!(report.batch_width, DEFAULT_BATCH_WIDTH);
     }
 
     #[test]
-    fn tune_batch_width_handles_degenerate_probes() {
+    fn mixed_batch_walks_each_packet_in_its_own_vn() {
+        let tables = [
+            table("10.0.0.0/8 1\n10.1.1.0/24 2\n"),
+            table("10.0.0.0/8 7\n172.16.5.0/26 9\n"),
+            table(""),
+        ];
+        let trie = LookupService::build_trie(&tables).unwrap();
+        let dsts = [0x0A01_0103, 0x0A02_0000, 0xAC10_0501, 0xC000_0001];
+        let packets: Vec<(VnId, u32)> = dsts
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &dst)| (0..3).map(move |vn| ((vn + i as VnId) % 3, dst)))
+            .collect();
+        // Poisoned output: a packet the loop skipped would keep Some(0xEE).
+        let mut out = vec![Some(0xEE); packets.len()];
+        lookup_batch_mixed(&trie, &packets, &mut out);
+        for (&(vn, dst), got) in packets.iter().zip(&out) {
+            assert_eq!(*got, tables[usize::from(vn)].lookup(dst), "vn {vn} ip {dst:#010x}");
+        }
+    }
+
+    #[test]
+    fn empty_batches_are_no_ops() {
         let trie = JumpTrie::from_table(&table("10.0.0.0/8 1\n"));
-        assert_eq!(tune_batch_width(&trie, &[], &[8, 32]), 8);
-        let picked = tune_batch_width(&trie, &[0x0A00_0001; 64], &[8, 32]);
-        assert!([8, 32].contains(&picked));
+        lookup_batch_mixed(&trie, &[], &mut []);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch destination and output slices must match")]
+    fn mismatched_batch_lengths_panic() {
+        let trie = JumpTrie::from_table(&table("10.0.0.0/8 1\n"));
+        let mut out = [None; 2];
+        lookup_batch_mixed(&trie, &[(0, 1), (0, 2), (0, 3)], &mut out);
     }
 
     #[test]
@@ -1659,7 +1620,7 @@ mod tests {
         let t = TableSpec::paper_worst_case(17).generate().unwrap();
         let cfg = ServiceConfig {
             workers: 1,
-            batch_width: Some(64),
+            batch_width: 64,
             queue_depth: 1,
             ..ServiceConfig::default()
         };

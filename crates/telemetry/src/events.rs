@@ -29,11 +29,6 @@ pub enum EventKind {
         /// Worker the batch was destined for.
         worker: u64,
     },
-    /// The auto-tuner selected a new batch width.
-    BatchRetune {
-        /// Chosen lookup batch width.
-        width: u64,
-    },
     /// The control plane detected merging-efficiency drift below its
     /// floor and republished a freshly re-merged table generation.
     RemergeTriggered {
@@ -55,7 +50,7 @@ pub struct EventRecord {
 }
 
 /// Bounded MPMC event buffer. Publishing takes a short mutex (events
-/// are control-plane rate — swaps, stalls, retunes — not per-packet),
+/// are control-plane rate — swaps, stalls, re-merges — not per-packet),
 /// keeping the data-plane record path atomic-only.
 pub struct EventRing {
     inner: Mutex<RingState>,

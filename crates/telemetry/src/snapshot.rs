@@ -110,7 +110,7 @@ mod tests {
         reg.histogram("vr_lookup_ns").record(900);
         reg.events()
             .publish(EventKind::GenerationSwap { generation: 7 });
-        reg.events().publish(EventKind::BatchRetune { width: 8 });
+        reg.events().publish(EventKind::WorkerStall { worker: 1 });
         reg.snapshot()
     }
 

@@ -79,11 +79,7 @@ pub(crate) fn decode_nhi(code: NhiCode) -> Option<NextHop> {
 /// let jump = JumpTrie::from_table(&table);
 /// assert_eq!(jump.lookup(0x0A01_0103), Some(2)); // 3 loads: root + 2 levels
 /// assert_eq!(jump.lookup(0x0A02_0000), Some(1)); // 1 load: root entry is final
-///
-/// let dsts = [0x0A01_0103, 0x0A02_0000, 0x0B00_0000];
-/// let mut out = [None; 3];
-/// jump.lookup_batch(&dsts, &mut out);
-/// assert_eq!(out, [Some(2), Some(1), None]);
+/// assert_eq!(jump.lookup_vn(0, 0x0B00_0000), None); // no covering route
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct JumpTrie {
@@ -392,30 +388,6 @@ impl JumpTrie {
         let slot = (word & PAYLOAD_MASK) as usize;
         decode_nhi(self.nhis[slot * self.k + vnid])
     }
-
-    /// Batched longest-prefix match in VN 0: element `i` of `out`
-    /// receives exactly `self.lookup(dsts[i])`.
-    ///
-    /// # Panics
-    /// If `dsts` and `out` differ in length.
-    pub fn lookup_batch(&self, dsts: &[u32], out: &mut [Option<NextHop>]) {
-        self.lookup_batch_vn(0, dsts, out);
-    }
-
-    /// Batched longest-prefix match in one virtual network, via the
-    /// lane-interleaved stepper (see [`crate::lane`]): a fixed-width
-    /// group of in-flight keys advances one DIR-16 + sub-slab stage per
-    /// iteration with each lane's next word prefetched a stage ahead,
-    /// retiring and refilling lanes so divergent-depth keys never stall
-    /// the group. Allocation-free.
-    ///
-    /// # Panics
-    /// If `dsts` and `out` differ in length.
-    pub fn lookup_batch_vn(&self, vnid: usize, dsts: &[u32], out: &mut [Option<NextHop>]) {
-        crate::lane::lookup_lanes_vn::<{ crate::lane::DEFAULT_LANE_WIDTH }>(
-            self, vnid, dsts, out,
-        );
-    }
 }
 
 #[cfg(test)]
@@ -446,9 +418,7 @@ mod tests {
         assert!((jump.direct_hit_fraction() - 1.0).abs() < f64::EPSILON);
         assert_eq!(jump.lookup(0), None);
         assert_eq!(jump.lookup(u32::MAX), None);
-        let mut out = [Some(7)];
-        jump.lookup_batch(&[123], &mut out);
-        assert_eq!(out, [None]);
+        assert_eq!(jump.lookup(123), None);
     }
 
     #[test]
@@ -480,14 +450,10 @@ mod tests {
         let t = TableSpec::paper_worst_case(11).generate().unwrap();
         let flat = crate::FlatTrie::from_unibit(&UnibitTrie::from_table(&t));
         let jump = JumpTrie::from_table(&t);
-        let dsts = probes(&t);
-        let mut out = vec![None; dsts.len()];
-        jump.lookup_batch(&dsts, &mut out);
-        for (i, &ip) in dsts.iter().enumerate() {
+        for ip in probes(&t) {
             let expect = t.lookup(ip);
             assert_eq!(jump.lookup(ip), expect, "scalar ip {ip:#010x}");
             assert_eq!(flat.lookup(ip), expect, "flat ip {ip:#010x}");
-            assert_eq!(out[i], expect, "batch ip {ip:#010x}");
         }
         // The sub-slabs only hold the > /16 remainder.
         assert!(jump.sub_levels() <= 16);
@@ -507,12 +473,6 @@ mod tests {
         for (vn, t) in tables.iter().enumerate() {
             for ip in probes(t) {
                 assert_eq!(jump.lookup_vn(vn, ip), t.lookup(ip), "vn {vn} ip {ip:#010x}");
-            }
-            let dsts = probes(t);
-            let mut out = vec![None; dsts.len()];
-            jump.lookup_batch_vn(vn, &dsts, &mut out);
-            for (i, &ip) in dsts.iter().enumerate() {
-                assert_eq!(out[i], t.lookup(ip));
             }
         }
     }
@@ -538,19 +498,5 @@ mod tests {
         assert_eq!(root_bits, (ROOT_ENTRIES as u64) * 32);
         assert_eq!(word_bits, jump.sub_node_count() as u64 * 32);
         assert_eq!(nhi_bits, jump.leaf_count() as u64 * 8);
-    }
-
-    #[test]
-    fn empty_batches_are_no_ops() {
-        let jump = JumpTrie::from_unibit(&UnibitTrie::new());
-        jump.lookup_batch(&[], &mut []);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch destination and output slices must match")]
-    fn mismatched_batch_lengths_panic() {
-        let jump = JumpTrie::from_unibit(&UnibitTrie::new());
-        let mut out = [None; 2];
-        jump.lookup_batch(&[1, 2, 3], &mut out);
     }
 }

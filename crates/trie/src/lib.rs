@@ -26,10 +26,6 @@
 //! * [`JumpSlabs`] / [`DirtyBuckets`] — per-/16-bucket sub-slab store for
 //!   the control plane: route updates re-derive only dirty buckets and
 //!   assemble a publishable [`JumpTrie`] without a from-scratch rebuild;
-//! * [`lane`] — lane-interleaved batch stepping over [`JumpTrie`]: a
-//!   fixed-width group of in-flight keys advanced one stage per
-//!   iteration with software prefetch one stage ahead, the in-software
-//!   analogue of the paper's stage-overlapped pipeline occupancy;
 //! * [`pipeline_map`] — level→stage mapping and per-stage memory sizing
 //!   (Mᵢ,ⱼ in the paper's notation), separating pointer memory from NHI
 //!   memory exactly as Fig. 4 does;
@@ -40,18 +36,13 @@
 //! a `u32`, which keeps tries compact and traversals cache-friendly — the
 //! same reasons the paper's hardware keeps per-stage memories dense.
 
-// `deny`, not `forbid`: the lane module carries the one sanctioned
-// `#[allow(unsafe_code)]` in the workspace — the prefetch intrinsic
-// behind a bounds-checked wrapper. A `vr-audit` lint rule pins the
-// intrinsic to that module; every other crate keeps `forbid`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod braid;
 pub mod calibrate;
 pub mod flat;
 pub mod jump;
-pub mod lane;
 pub mod leafpush;
 pub mod merge;
 pub mod multibit;
@@ -64,7 +55,6 @@ pub mod unibit;
 pub use braid::BraidedTrie;
 pub use flat::{FlatStrideParts, FlatStrideTrie, FlatTrie, FlatTrieParts};
 pub use jump::{JumpTrie, JumpTrieParts};
-pub use lane::{lookup_lanes, lookup_lanes_vn, DEFAULT_LANE_WIDTH};
 pub use leafpush::LeafPushedTrie;
 pub use multibit::StrideTrie;
 pub use partition::PartitionedTrie;
