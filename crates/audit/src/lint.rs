@@ -69,11 +69,10 @@ use std::path::{Path, PathBuf};
 /// Hot-path modules where `.unwrap()` / `.expect(` are forbidden
 /// (allowlist entries excepted): the per-packet lookup datapath and the
 /// table-swap service.
-pub const HOT_PATH_FILES: [&str; 9] = [
+pub const HOT_PATH_FILES: [&str; 8] = [
     "crates/trie/src/flat.rs",
     "crates/trie/src/jump.rs",
     "crates/engine/src/service.rs",
-    "crates/engine/src/sharded.rs",
     "crates/engine/src/datapath.rs",
     "crates/engine/src/cache.rs",
     // The wire serving tier sits on the per-frame path: a panic in the
@@ -90,9 +89,8 @@ pub const HOT_PATH_FILES: [&str; 9] = [
 /// exporter ever sees. The vr-obs modules are held to the same rule —
 /// the tracer stamps every hot-path span, so its clock must be the one
 /// audited epoch (`Stopwatch`), not ad-hoc `Instant` reads.
-pub const TIMED_FILES: [&str; 10] = [
+pub const TIMED_FILES: [&str; 9] = [
     "crates/engine/src/service.rs",
-    "crates/engine/src/sharded.rs",
     "crates/engine/src/datapath.rs",
     "crates/engine/src/multiway.rs",
     "crates/engine/src/engine.rs",
@@ -109,8 +107,7 @@ pub const TIMED_FILES: [&str; 10] = [
 /// forbidden outside the allowlisted full-rebuild fallback: an
 /// unsanctioned `tables.clone()` here reintroduces the per-batch
 /// O(K·table) copy the incremental update engine removed.
-pub const PUBLISH_PATH_FILES: [&str; 2] =
-    ["crates/engine/src/service.rs", "crates/engine/src/sharded.rs"];
+pub const PUBLISH_PATH_FILES: [&str; 1] = ["crates/engine/src/service.rs"];
 
 /// The one engine module allowed to touch a result-cache slot's stored
 /// `.nhi` field: the cache itself, whose probe API pairs every read with
@@ -757,7 +754,7 @@ mod tests {
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, LintRule::NoRawCacheSlot);
         assert_eq!(
-            lint_text("crates/engine/src/sharded.rs", text, "")[0].rule,
+            lint_text("crates/engine/src/datapath.rs", text, "")[0].rule,
             LintRule::NoRawCacheSlot
         );
         // In the probe API's home module the access is the point.
@@ -866,7 +863,7 @@ mod tests {
         assert!(lint_text("crates/engine/src/service.rs", sort, "").is_empty());
         // vr-sync's own AtomicGen wrapper is sanctioned everywhere.
         let wrapped = "let g = AtomicGen::new(0);\n";
-        assert!(lint_text("crates/engine/src/sharded.rs", wrapped, "").is_empty());
+        assert!(lint_text("crates/engine/src/datapath.rs", wrapped, "").is_empty());
         // Comments and test modules do not fire.
         let prose = "// AtomicU64 in prose\n#[cfg(test)]\nmod tests { use std::sync::atomic::AtomicU64; }\n";
         assert!(lint_text("crates/engine/src/service.rs", prose, "").is_empty());

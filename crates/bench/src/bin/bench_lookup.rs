@@ -4,7 +4,7 @@
 //! the per-VN (`lookup_vn`) datapath on merged tries (scalar only: the
 //! served walk has no batch path), the result-cache rows against the
 //! uncached `lookup_batch_mixed` loop, and the concurrent
-//! `LookupService` / `ShardedService` (mode `"service"`). Writes
+//! `LookupService` worker pool (mode `"service"`). Writes
 //! `BENCH_lookup.json` at the workspace root (packets/sec and ns/lookup
 //! per row) so the numbers travel with the repo.
 //!
@@ -38,7 +38,7 @@ use std::time::Instant;
 use vr_bench::results_dir;
 use vr_control::{ControlConfig, ControlPlane};
 use vr_engine::service::lookup_batch_mixed;
-use vr_engine::{LookupService, LpmCache, ServiceConfig, ShardedConfig, ShardedService};
+use vr_engine::{LookupService, LpmCache, ServiceConfig};
 use vr_telemetry::{Histogram, Stopwatch};
 use vr_net::synth::{FamilySpec, TableSpec};
 use vr_net::table::NextHop;
@@ -67,18 +67,17 @@ struct Row {
     mode: &'static str,
     /// Batch width driven through `lookup_batch` (`null` for scalar;
     /// the chunk width for the result-cache rows; the configured
-    /// `ServiceConfig::batch_width` for channel-service rows; the
-    /// dispatcher chunk width for sharded rows).
+    /// `ServiceConfig::batch_width` for service rows).
     batch_size: Option<usize>,
-    /// Worker/shard-thread count (`null` for the single-threaded modes).
+    /// Worker-thread count (`null` for the single-threaded modes).
     workers: Option<usize>,
     ns_per_lookup: f64,
     packets_per_sec: f64,
     /// Speedup over the reference scalar row (1.0 for scalar): batch
     /// rows compare against their own trie's scalar walk, cached rows
     /// against the uncached `jump_mixed` row of the same stream, service
-    /// and sharded rows against the merged jump scalar walk — the same
-    /// datapath the workers run, minus threads and channels.
+    /// rows against the merged jump scalar walk — the same datapath the
+    /// workers run, minus threads and channels.
     speedup_vs_scalar: f64,
     /// Median ns/lookup from the instrumented pass. Single-threaded
     /// rows: chunk-granularity wall time through a detached histogram.
@@ -270,90 +269,6 @@ fn push_variant(
     eprintln!("[bench_lookup] {scale}/{variant} done");
 }
 
-/// Sub-batch widths driven through `ShardedService::process_into`: one
-/// dispatcher call scatters a chunk across the shard queues, so the
-/// width sets the per-shard job size and how far the channel hops
-/// amortize.
-const SHARDED_CHUNKS: [usize; 2] = [512, 2048];
-
-/// Measures the sharded service end to end (hash scatter, per-shard
-/// SPSC queues, gather) at each shards × chunk-width point. Every
-/// service at one scale reuses the same prebuilt merged trie
-/// (`with_trie`), so construction never shadows the steady-state
-/// measurement; p50/p99 come from the live `vr_service_lookup_ns`
-/// histogram the shard workers feed.
-#[allow(clippy::too_many_arguments)]
-fn push_sharded(
-    rows: &mut Vec<Row>,
-    scale: &'static str,
-    table_prefixes: usize,
-    family: &[vr_net::RoutingTable],
-    merged_jump: &JumpTrie,
-    probes: &[u32],
-    iters: usize,
-    worker_counts: &[usize],
-    scalar_ref_ns: f64,
-) {
-    let packets: Vec<(VnId, u32)> = probes
-        .iter()
-        .enumerate()
-        .map(|(i, &ip)| ((i % FAMILY_K) as VnId, ip))
-        .collect();
-    // Same iteration floor as the channel-service rows: the
-    // multi-threaded min only sees through scheduler noise with enough
-    // samples.
-    let iters = iters.max(16);
-    for &shards in worker_counts {
-        for &chunk in &SHARDED_CHUNKS {
-            let cfg = ShardedConfig {
-                shards,
-                ..ShardedConfig::default()
-            };
-            let mut service = ShardedService::with_trie(family.to_vec(), merged_jump.clone(), cfg)
-                .expect("sharded service construction");
-            let mut out = vec![None; chunk.min(packets.len()).max(1)];
-            // Like the channel-service rows: back-to-back calls per
-            // timed sample so each covers milliseconds, not wakeup luck.
-            let repeat = (1usize << 16).div_ceil(packets.len().max(1));
-            let ns = time_ns_per_lookup(packets.len() * repeat, iters, || {
-                let mut hits = 0usize;
-                for _ in 0..repeat {
-                    for pchunk in packets.chunks(chunk) {
-                        let slot = &mut out[..pchunk.len()];
-                        service.process_into(std::hint::black_box(pchunk), slot);
-                        hits += slot.iter().filter(|nh| nh.is_some()).count();
-                    }
-                }
-                hits
-            });
-            let (p50_ns, p99_ns) = service
-                .telemetry_snapshot()
-                .and_then(|s| {
-                    s.histogram("vr_service_lookup_ns")
-                        .map(|h| (Some(h.p50 as f64), Some(h.p99 as f64)))
-                })
-                .unwrap_or((None, None));
-            let _ = service.shutdown();
-            rows.push(Row {
-                scale,
-                table_prefixes,
-                variant: "sharded_jump",
-                mode: "service",
-                batch_size: Some(chunk),
-                workers: Some(shards),
-                ns_per_lookup: ns,
-                packets_per_sec: 1e9 / ns,
-                speedup_vs_scalar: scalar_ref_ns / ns,
-                p50_ns,
-                p99_ns,
-                traffic: None,
-                cache_hit_rate: None,
-            });
-            eprintln!("[bench_lookup] {scale}/sharded_jump shards={shards} chunk={chunk} done");
-        }
-    }
-}
-
 /// Measures `LookupService::process` end to end (channel hops, snapshot
 /// clone, scatter/gather) at each worker count.
 #[allow(clippy::too_many_arguments)]
@@ -488,14 +403,12 @@ fn service_percentile_pass(
 }
 
 /// Maps a derived row's variant to the scalar row its speedup compares
-/// against: batch rows against their own trie's scalar walk, service and
-/// sharded rows against the merged jump scalar walk — the datapath the
-/// workers run, minus threads and channels.
+/// against: batch rows against their own trie's scalar walk, service
+/// rows against the merged jump scalar walk — the datapath the workers
+/// run, minus threads and channels.
 fn scalar_base(variant: &str) -> &str {
     match variant {
-        "service_jump" | "service_jump_notel" | "service_jump_traced" | "sharded_jump" => {
-            "merged_jump_vn"
-        }
+        "service_jump" | "service_jump_notel" | "service_jump_traced" => "merged_jump_vn",
         v => v,
     }
 }
@@ -715,17 +628,6 @@ fn measure_scale(
         scale,
         n,
         family,
-        probes,
-        iters,
-        worker_counts,
-        jump_vn_scalar_ns,
-    );
-    push_sharded(
-        rows,
-        scale,
-        n,
-        family,
-        merged_jump,
         probes,
         iters,
         worker_counts,
@@ -1061,17 +963,16 @@ struct BaselineRow {
 }
 
 /// Datapaths the smoke gate defends: the DIR-16 walk (single and
-/// merged), the uncached and cached mixed-VN loops, and both service
-/// organizations. The slower pedagogical tries (unibit, stride, …) are
+/// merged), the uncached and cached mixed-VN loops, and the channel
+/// service. The slower pedagogical tries (unibit, stride, …) are
 /// deliberately ungated — they exist for the trajectory narrative, not
 /// as performance promises.
-const GATED_VARIANTS: [&str; 6] = [
+const GATED_VARIANTS: [&str; 5] = [
     "jump",
     "jump_mixed",
     "cached_jump",
     "merged_jump_vn",
     "service_jump",
-    "sharded_jump",
 ];
 
 /// `--smoke` regression gate: compares the fresh smoke rows for the

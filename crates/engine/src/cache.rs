@@ -15,9 +15,9 @@
 //!   `publish_tables` / `apply_updates` invalidate the whole cache in
 //!   O(1) by construction: the generation bump makes every existing tag
 //!   mismatch. No flush loop, no epochs, no atomics.
-//! * **Private per worker.** Each `LookupService` worker and each
-//!   `ShardedService` shard thread owns its own cache; nothing is shared,
-//!   so the probe/fill path is plain single-threaded loads and stores.
+//! * **Private per worker.** Each `LookupService` worker thread owns its
+//!   own cache; nothing is shared, so the probe/fill path is plain
+//!   single-threaded loads and stores.
 //! * **Allocation-free batch flow.** [`LpmCache::lookup_batch`] probes
 //!   the whole batch, compacts the misses into a dense sub-batch, walks
 //!   *only the misses* through `lookup_batch_mixed`, then scatters the
@@ -275,7 +275,7 @@ impl LpmCache {
     }
 
     /// [`Self::lookup_batch`] with per-phase trace spans: closes
-    /// `CacheProbe`, `LaneWalk`, and `Scatter` marks on `trace` around
+    /// `CacheProbe`, `Walk`, and `Scatter` marks on `trace` around
     /// the three phases. An all-hit batch still closes all three spans
     /// (the walk and scatter come out zero-duration), so the stage
     /// chain has one shape regardless of hit rate. Results are
@@ -293,7 +293,7 @@ impl LpmCache {
         if misses > 0 {
             self.walk_phase(trie);
         }
-        trace.mark(Stage::LaneWalk);
+        trace.mark(Stage::Walk);
         if misses > 0 {
             self.scatter_phase(generation, out);
         }

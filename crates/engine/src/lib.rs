@@ -22,7 +22,7 @@
 //! completed lookup is compared with `RoutingTable::lookup`.
 //!
 //! Beyond the cycle-level model, [`service`] hosts the production-shaped
-//! datapath: a concurrent sharded [`LookupService`] resolving packet
+//! datapath: a concurrent [`LookupService`] worker pool resolving packet
 //! batches against an immutable `JumpTrie` behind an RCU-style
 //! generation-counted snapshot swap, so route updates never stall
 //! in-flight lookups. [`cache`] adds the per-worker LPM result cache in
@@ -30,12 +30,12 @@
 //! invalidates it in O(1) — which skewed (Zipf) traffic turns into a
 //! multiple of the uncached throughput. With
 //! [`ServiceConfig::trace_sample`](service::ServiceConfig::trace_sample)
-//! set, both services thread a sampled `vr-obs` [`Tracer`] through the
+//! set, the service threads a sampled `vr-obs` [`Tracer`] through the
 //! hot path: 1-in-N batches carry an owned stage recorder through the
-//! queue (enqueue → dequeue → cache probe → lane walk → scatter →
-//! complete), and publishes / update batches land as control-plane
-//! spans on the same timeline — exportable as Chrome trace JSON and
-//! servable over the vr-obs HTTP plane.
+//! queue (enqueue → dequeue → cache probe → walk → scatter → complete),
+//! and publishes / update batches land as control-plane spans on the
+//! same timeline — exportable as Chrome trace JSON and servable over the
+//! vr-obs HTTP plane.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,7 +48,6 @@ pub mod police;
 pub mod report;
 pub mod router;
 pub mod service;
-pub mod sharded;
 
 pub use cache::{CacheStats, LpmCache, DEFAULT_CACHE_SLOTS};
 pub use datapath::StageMetrics;
@@ -59,7 +58,6 @@ pub use router::{ArrivalModel, SimConfig, VirtualRouterSim};
 pub use service::{
     CompletedBatch, LookupReader, LookupService, ServiceConfig, ServiceReport, TableSnapshot,
 };
-pub use sharded::{shard_of, ShardedBatch, ShardedConfig, ShardedReport, ShardedService};
 // Re-exported so service users can consume traces without naming the
 // observability crate themselves.
 pub use vr_obs::{BatchTrace, Stage, TraceSnapshot, Tracer};

@@ -1,4 +1,4 @@
-//! Concurrent sharded lookup service with RCU-style table swap.
+//! Concurrent lookup service with RCU-style table swap.
 //!
 //! The cycle-level [`PipelineEngine`](crate::PipelineEngine) models the
 //! paper's hardware; this module is the *production* datapath the ROADMAP
@@ -84,7 +84,7 @@ pub const DEFAULT_BATCH_WIDTH: usize = 256;
 /// Tuning knobs of a [`LookupService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServiceConfig {
-    /// Worker threads (shards). Each owns an order-preserving input FIFO.
+    /// Worker threads. Each owns an order-preserving input FIFO.
     pub workers: usize,
     /// Packets per batch when [`LookupService::process`] splits work
     /// across the worker pool. The walk is per packet, so this only
@@ -92,7 +92,7 @@ pub struct ServiceConfig {
     /// positive.
     pub batch_width: usize,
     /// Depth of each worker's input queue, in batches; producers block
-    /// (backpressure) once a shard is this far behind.
+    /// (backpressure) once a worker is this far behind.
     pub queue_depth: usize,
     /// Whether to run the service with a live [`MetricsRegistry`]:
     /// per-worker sharded counters, batch/lookup latency histograms, the
@@ -127,7 +127,7 @@ pub struct ServiceConfig {
     /// submitted batch); `None` disables tracing entirely. Sampled
     /// batches carry an owned [`vr_obs::TraceBuilder`] through the
     /// queue and close stage spans (enqueue → dequeue → cache probe →
-    /// lane walk → scatter → complete) into the service's
+    /// walk → scatter → complete) into the service's
     /// [`vr_obs::Tracer`] ring; unsampled batches pay one modulo on
     /// submit and an `Option` check per stage. The
     /// `service_jump_traced` bench row holds the sampled hot path
@@ -164,7 +164,7 @@ pub struct CompletedBatch {
     pub generation: u64,
     /// Wall time the worker spent resolving the batch, in nanoseconds.
     pub elapsed_ns: u64,
-    /// Worker (shard) that served the batch.
+    /// Worker that served the batch.
     pub worker: usize,
 }
 
@@ -220,13 +220,13 @@ impl ServiceTelemetry {
     }
 }
 
-/// Per-worker handles cloned into each shard's thread. Counters are
+/// Per-worker handles cloned into each worker's thread. Counters are
 /// sharded by worker id, so the hot path never contends on a cache
 /// line; histograms record once per *batch* (batch wall time and mean
 /// ns/lookup at batch granularity), keeping the per-packet overhead at
 /// a fraction of an atomic op.
 #[derive(Clone)]
-pub(crate) struct WorkerMetrics {
+struct WorkerMetrics {
     lookups: Counter,
     misses: Counter,
     batches: Counter,
@@ -235,10 +235,8 @@ pub(crate) struct WorkerMetrics {
 }
 
 impl WorkerMetrics {
-    /// Binds the standard worker metric names against `registry`; the
-    /// sharded service reuses the exact `vr_service_*` names so
-    /// dashboards and the bench read one vocabulary.
-    pub(crate) fn for_registry(registry: &MetricsRegistry) -> Self {
+    /// Binds the standard worker metric names against `registry`.
+    fn for_registry(registry: &MetricsRegistry) -> Self {
         Self {
             lookups: registry.counter("vr_service_lookups_total"),
             misses: registry.counter("vr_service_misses_total"),
@@ -248,7 +246,7 @@ impl WorkerMetrics {
         }
     }
 
-    pub(crate) fn observe_batch(&self, worker: usize, results: &[Option<NextHop>], elapsed_ns: u64) {
+    fn observe_batch(&self, worker: usize, results: &[Option<NextHop>], elapsed_ns: u64) {
         let n = results.len() as u64;
         self.lookups.add(worker, n);
         self.misses
@@ -260,14 +258,14 @@ impl WorkerMetrics {
 }
 
 /// Per-worker handles for the LPM result-cache counters, cloned into
-/// each worker/shard thread alongside [`WorkerMetrics`]. The worker
+/// each worker thread alongside [`WorkerMetrics`]. The worker
 /// flushes its cache's stat delta once per batch — a few sharded
 /// `add`s, never per packet. The hit-rate gauge is set from the
 /// worker's *cumulative* stats in per-mille; workers overwrite each
 /// other, but under steady traffic every worker converges on the same
 /// rate, so the gauge reads as the service-wide figure.
 #[derive(Clone)]
-pub(crate) struct CacheMetrics {
+struct CacheMetrics {
     hits: Counter,
     misses: Counter,
     fills: Counter,
@@ -275,9 +273,8 @@ pub(crate) struct CacheMetrics {
 }
 
 impl CacheMetrics {
-    /// Binds the cache metric names against `registry`; the sharded
-    /// service reuses the same `vr_cache_*` vocabulary.
-    pub(crate) fn for_registry(registry: &MetricsRegistry) -> Self {
+    /// Binds the `vr_cache_*` metric names against `registry`.
+    fn for_registry(registry: &MetricsRegistry) -> Self {
         Self {
             hits: registry.counter("vr_cache_hits_total"),
             misses: registry.counter("vr_cache_misses_total"),
@@ -286,7 +283,7 @@ impl CacheMetrics {
         }
     }
 
-    pub(crate) fn observe(&self, worker: usize, delta: CacheStats, cumulative: CacheStats) {
+    fn observe(&self, worker: usize, delta: CacheStats, cumulative: CacheStats) {
         if delta.hits == 0 && delta.misses == 0 && delta.fills == 0 {
             return;
         }
@@ -301,7 +298,7 @@ impl CacheMetrics {
 }
 
 struct Worker {
-    /// `None` once the shard has been disconnected during shutdown.
+    /// `None` once the worker has been disconnected during shutdown.
     job_tx: Option<SpscSender<Job>>,
     done_rx: SpscReceiver<CompletedBatch>,
     handle: Option<JoinHandle<()>>,
@@ -473,8 +470,8 @@ impl LookupReader {
     }
 
     /// Pin, walk, count: returns `(results, generation, elapsed_ns)`.
-    /// `shard` picks the metric counter shard.
-    fn resolve(&self, shard: usize, packets: &[(VnId, u32)]) -> (Vec<Option<NextHop>>, u64, u64) {
+    /// `worker` picks the metric counter shard.
+    fn resolve(&self, worker: usize, packets: &[(VnId, u32)]) -> (Vec<Option<NextHop>>, u64, u64) {
         // RCU read-side critical section: pin the snapshot with one
         // refcount bump; the slot is never held across the walk.
         let snapshot: SyncArc<TableSnapshot> = self.current.read();
@@ -483,7 +480,7 @@ impl LookupReader {
         lookup_batch_mixed(&snapshot.trie, packets, &mut results);
         let elapsed_ns = watch.elapsed_ns();
         if let Some(m) = &self.metrics {
-            m.observe_batch(shard, &results, elapsed_ns);
+            m.observe_batch(worker, &results, elapsed_ns);
         }
         (results, snapshot.generation, elapsed_ns)
     }
@@ -513,7 +510,7 @@ pub fn lookup_batch_mixed(
     }
 }
 
-/// N-shard concurrent lookup service over an immutable, atomically
+/// N-worker concurrent lookup service over an immutable, atomically
 /// swappable [`JumpTrie`].
 ///
 /// ```
@@ -559,7 +556,7 @@ pub struct LookupService {
 }
 
 impl LookupService {
-    /// Builds the jump trie and spawns the worker shards.
+    /// Builds the jump trie and spawns the worker threads.
     ///
     /// # Errors
     /// Rejects an empty table set, zero workers, a zero batch width, and
@@ -632,7 +629,7 @@ impl LookupService {
         })
     }
 
-    pub(crate) fn build_trie(tables: &[RoutingTable]) -> Result<JumpTrie, EngineError> {
+    fn build_trie(tables: &[RoutingTable]) -> Result<JumpTrie, EngineError> {
         if tables.len() == 1 {
             Ok(JumpTrie::from_table(&tables[0]))
         } else {
@@ -647,7 +644,7 @@ impl LookupService {
     /// With `metrics` attached, each run's duration and violation count
     /// land in the registry (`vr_audit_*`).
     #[cfg(any(debug_assertions, feature = "audit-on-publish"))]
-    pub(crate) fn audit_snapshot(
+    fn audit_snapshot(
         trie: &JumpTrie,
         metrics: Option<&AuditMetrics>,
     ) -> Result<(), EngineError> {
@@ -665,7 +662,7 @@ impl LookupService {
 
     #[cfg(not(any(debug_assertions, feature = "audit-on-publish")))]
     #[allow(clippy::unnecessary_wraps)]
-    pub(crate) fn audit_snapshot(
+    fn audit_snapshot(
         _trie: &JumpTrie,
         _metrics: Option<&AuditMetrics>,
     ) -> Result<(), EngineError> {
@@ -700,7 +697,7 @@ impl LookupService {
                     None => {
                         let resolved = reader.resolve(id, &job.packets);
                         if let Some(tb) = job.trace.as_mut() {
-                            tb.mark(Stage::LaneWalk);
+                            tb.mark(Stage::Walk);
                         }
                         resolved
                     }
@@ -758,7 +755,7 @@ impl LookupService {
         }
     }
 
-    /// Worker shard count.
+    /// Worker thread count.
     #[must_use]
     pub fn workers(&self) -> usize {
         self.workers.len()
@@ -782,8 +779,8 @@ impl LookupService {
         &self.tables
     }
 
-    /// Enqueues one batch on the next shard (round-robin) and returns its
-    /// sequence number. Blocks only when that shard's queue is full; the
+    /// Enqueues one batch on the next worker (round-robin) and returns its
+    /// sequence number. Blocks only when that worker's queue is full; the
     /// stall is counted (`vr_service_queue_stalls_total`) and ringed as a
     /// [`EventKind::WorkerStall`] before the blocking send, so
     /// backpressure is observable while it is happening.
@@ -859,7 +856,7 @@ impl LookupService {
         done
     }
 
-    /// Resolves a packet stream end to end: shards it into batches of the
+    /// Resolves a packet stream end to end: splits it into batches of the
     /// service width, fans them out, and returns per-packet results in
     /// input order.
     pub fn process(&mut self, packets: &[(VnId, u32)]) -> Vec<Option<NextHop>> {
@@ -1197,7 +1194,7 @@ impl LookupService {
     pub fn shutdown(mut self) -> ServiceReport {
         let _ = self.collect_all();
         for worker in &mut self.workers {
-            // Dropping the sender disconnects the shard's FIFO; the
+            // Dropping the sender disconnects the worker's FIFO; the
             // worker exits its recv loop.
             drop(worker.job_tx.take());
             if let Some(handle) = worker.handle.take() {

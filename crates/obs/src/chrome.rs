@@ -5,7 +5,7 @@
 //! `about:tracing` and Perfetto open directly. Each stage span becomes
 //! one complete (`"ph": "X"`) event; timestamps are microseconds since
 //! the tracer epoch, kept fractional so nanosecond spans survive.
-//! Batches are laid out one thread-row per worker/shard (`tid`), with
+//! Batches are laid out one thread-row per worker (`tid`), with
 //! the dispatcher/control plane on `tid` 0, so a dump reads like the
 //! service's actual thread structure.
 //!
@@ -17,16 +17,12 @@
 use crate::trace::{BatchTrace, Stage};
 use serde::Value;
 
-/// `tid` assigned to spans with no worker/shard attribution (the
+/// `tid` assigned to spans with no worker attribution (the
 /// dispatcher and control-plane rows).
 const CONTROL_TID: u64 = 0;
 
 fn event(trace: &BatchTrace, stage: Stage, start_ns: u64, dur_ns: u64) -> Value {
-    let tid = match (trace.worker, trace.shard) {
-        (Some(w), _) => w + 1,
-        (None, Some(s)) => s + 1,
-        (None, None) => CONTROL_TID,
-    };
+    let tid = trace.worker.map_or(CONTROL_TID, |w| w + 1);
     // Enqueue happens on the dispatcher thread regardless of which
     // worker later ran the batch; pin it to the control row.
     let tid = if matches!(stage, Stage::Enqueue | Stage::Publish | Stage::ApplyUpdates) {
@@ -123,7 +119,7 @@ mod tests {
         let mut b = tracer.begin(64, 32);
         b.mark(Stage::Enqueue);
         b.mark(Stage::Dequeue);
-        b.mark(Stage::LaneWalk);
+        b.mark(Stage::Walk);
         b.set_worker(2);
         b.mark(Stage::Complete);
         b.finish()
@@ -136,7 +132,7 @@ mod tests {
         let n = check_chrome_trace(&json).unwrap();
         assert_eq!(n, 4, "one event per stage span");
         assert!(json.contains("\"traceEvents\""));
-        assert!(json.contains("\"lane_walk\""));
+        assert!(json.contains("\"walk\""));
         // Worker spans land on the worker row, enqueue on the control row.
         let value = serde_json::parse(&json).unwrap();
         let Value::Map(top) = value else { unreachable!() };

@@ -387,7 +387,7 @@ mod tests {
         let mut b = tracer.begin(seq, 8);
         b.mark(Stage::Enqueue);
         b.mark(Stage::Dequeue);
-        b.mark(Stage::LaneWalk);
+        b.mark(Stage::Walk);
         b.set_worker(0);
         b.mark(Stage::Complete);
         b.finish()

@@ -7,8 +7,8 @@
 //! on the hot path. The builder keeps one running mark; each
 //! [`TraceBuilder::mark`] call closes the span that started at the
 //! previous mark, which makes the stage chain contiguous and
-//! monotonic by construction (enqueue → dequeue → cache probe → lane
-//! walk → scatter → complete). Completed traces return to the tracer's
+//! monotonic by construction (enqueue → dequeue → cache probe → walk
+//! → scatter → complete). Completed traces return to the tracer's
 //! bounded ring, where the HTTP plane and the flight recorder read
 //! them at control-plane rate behind a short mutex.
 //!
@@ -44,8 +44,8 @@ pub enum Stage {
     Dequeue,
     /// LPM result-cache probe loop over the batch.
     CacheProbe,
-    /// Trie lane walk (all packets when uncached, misses when cached).
-    LaneWalk,
+    /// Scalar trie walk (all packets when uncached, misses when cached).
+    Walk,
     /// Scatter of walk results back into batch order + cache fill.
     Scatter,
     /// Result hand-back: from end of lookup to the completion send.
@@ -64,7 +64,7 @@ impl Stage {
             Stage::Enqueue => "enqueue",
             Stage::Dequeue => "dequeue",
             Stage::CacheProbe => "cache_probe",
-            Stage::LaneWalk => "lane_walk",
+            Stage::Walk => "walk",
             Stage::Scatter => "scatter",
             Stage::Complete => "complete",
             Stage::Publish => "publish",
@@ -80,8 +80,8 @@ pub struct StageSpan {
     pub stage: Stage,
     /// Start, nanoseconds since the tracer epoch.
     pub start_ns: u64,
-    /// Duration in nanoseconds (0 for skipped stages, e.g. a lane walk
-    /// with zero cache misses).
+    /// Duration in nanoseconds (0 for skipped stages, e.g. a walk with
+    /// zero cache misses).
     pub dur_ns: u64,
 }
 
@@ -92,10 +92,8 @@ pub struct BatchTrace {
     pub trace_id: u64,
     /// The service's batch sequence number.
     pub seq: u64,
-    /// Worker that ran the batch (channel service), if any.
+    /// Worker that ran the batch; `None` on control-plane span traces.
     pub worker: Option<u64>,
-    /// Shard that ran the batch (sharded service), if any.
-    pub shard: Option<u64>,
     /// Table generation the batch was looked up against.
     pub generation: u64,
     /// Packets in the batch.
@@ -126,10 +124,10 @@ impl BatchTrace {
     }
 
     /// Structural causality check used by tests and the proptest suite:
-    /// a worker/shard batch trace must open with `Enqueue`, close with
-    /// `Complete`, have contiguous monotonic spans, and carry exactly
-    /// one of worker/shard attribution. Control-plane span traces
-    /// (`Publish` / `ApplyUpdates`) must be single-span and unattributed.
+    /// a worker batch trace must open with `Enqueue`, close with
+    /// `Complete`, have contiguous monotonic spans, and carry worker
+    /// attribution. Control-plane span traces (`Publish` /
+    /// `ApplyUpdates`) must be single-span and unattributed.
     ///
     /// # Errors
     /// Returns a description of the first violation found.
@@ -145,9 +143,9 @@ impl BatchTrace {
                     self.stages.len()
                 ));
             }
-            if self.worker.is_some() || self.shard.is_some() {
+            if self.worker.is_some() {
                 return Err(format!(
-                    "control span trace {} claims worker/shard attribution",
+                    "control span trace {} claims worker attribution",
                     self.trace_id
                 ));
             }
@@ -179,17 +177,13 @@ impl BatchTrace {
             }
             cursor = span.start_ns.saturating_add(span.dur_ns);
         }
-        match (self.worker, self.shard) {
-            (Some(_), None) | (None, Some(_)) => Ok(()),
-            (None, None) => Err(format!(
-                "trace {} finished without worker/shard attribution",
+        if self.worker.is_none() {
+            return Err(format!(
+                "trace {} finished without worker attribution",
                 self.trace_id
-            )),
-            (Some(_), Some(_)) => Err(format!(
-                "trace {} claims both worker and shard attribution",
-                self.trace_id
-            )),
+            ));
         }
+        Ok(())
     }
 }
 
@@ -218,14 +212,9 @@ impl TraceBuilder {
         self.mark_ns = now;
     }
 
-    /// Records which channel-service worker ran the batch.
+    /// Records which worker ran the batch.
     pub fn set_worker(&mut self, worker: u64) {
         self.trace.worker = Some(worker);
-    }
-
-    /// Records which shard ran the batch.
-    pub fn set_shard(&mut self, shard: u64) {
-        self.trace.shard = Some(shard);
     }
 
     /// Records the table generation the batch was served against.
@@ -328,7 +317,6 @@ impl Tracer {
                 trace_id,
                 seq,
                 worker: None,
-                shard: None,
                 generation: 0,
                 packets: packets as u64,
                 stages: Vec::with_capacity(8),
@@ -362,7 +350,6 @@ impl Tracer {
             trace_id,
             seq: trace_id,
             worker: None,
-            shard: None,
             generation,
             packets: 0,
             stages: vec![StageSpan {
@@ -450,7 +437,7 @@ mod tests {
         b.mark(Stage::Enqueue);
         b.mark(Stage::Dequeue);
         b.mark(Stage::CacheProbe);
-        b.mark(Stage::LaneWalk);
+        b.mark(Stage::Walk);
         b.mark(Stage::Scatter);
         b.set_worker(3);
         b.set_generation(7);
@@ -496,10 +483,6 @@ mod tests {
         let mut gap = good.clone();
         gap.stages[2].start_ns += 1;
         assert!(gap.validate().is_err());
-
-        let mut both = good.clone();
-        both.shard = Some(1);
-        assert!(both.validate().is_err());
 
         let mut neither = good;
         neither.worker = None;

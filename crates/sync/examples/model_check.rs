@@ -4,7 +4,7 @@
 //! seeded bug escaped detection.
 
 use vr_sync::model::{explore, ExplorerConfig, ModelSpec};
-use vr_sync::programs::{CacheProbe, PublishVsLookup, ShardWave};
+use vr_sync::programs::{CacheProbe, PublishVsLookup};
 
 fn run(spec: &dyn ModelSpec, expect_failure: bool) -> bool {
     let report = explore(spec, &ExplorerConfig::default());
@@ -31,8 +31,6 @@ fn main() {
     ok &= run(&PublishVsLookup::relaxed_gen_store(), true);
     ok &= run(&CacheProbe::correct(), false);
     ok &= run(&CacheProbe::stale_cache_tag(), true);
-    ok &= run(&ShardWave::correct(), false);
-    ok &= run(&ShardWave::split_wave(), true);
     if !ok {
         std::process::exit(1);
     }

@@ -1,10 +1,10 @@
 //! vr-sync: the concurrency discipline layer of the workspace.
 //!
 //! Every lock-free protocol the engine relies on — the RCU-style `Arc`
-//! snapshot swap in `LookupService`, the generation-tagged O(1) cache
-//! invalidation in `LpmCache`, and the FIFO publish broadcast in
-//! `ShardedService` — goes through the wrapper types in this crate instead
-//! of touching `std::sync` / `crossbeam` primitives directly:
+//! snapshot swap in `LookupService` and the generation-tagged O(1) cache
+//! invalidation in `LpmCache` — goes through the wrapper types in this
+//! crate instead of touching `std::sync` / `crossbeam` primitives
+//! directly:
 //!
 //! * [`SyncArc<T>`] — shared immutable snapshot handle (a thin `Arc`).
 //! * [`Publish<T>`] — the single-writer/multi-reader publication slot used
@@ -16,7 +16,7 @@
 //! * [`GenTag`] — the generation tag stored in cache slots, with an
 //!   unreachable `EMPTY` sentinel that can never match a live generation.
 //! * [`spsc_bounded`] / [`spsc_unbounded`] — the single-producer queues
-//!   connecting dispatcher to workers and shards.
+//!   connecting the dispatcher to the `LookupService` workers.
 //!
 //! In a normal build the wrappers compile to the underlying primitive with
 //! `#[inline]` delegation — zero cost, verified by the bench-regression

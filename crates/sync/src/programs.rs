@@ -1,4 +1,4 @@
-//! Model programs: the engine's three lock-free protocols, reduced to
+//! Model programs: the engine's two lock-free protocols, reduced to
 //! their synchronization skeletons and checked by [`crate::model`].
 //!
 //! Each program exists in a *correct* variant — proven to satisfy its
@@ -17,11 +17,6 @@
 //!   return the pinned snapshot's value (**no-stale-cache-hit**).
 //!   `StaleCacheTag` removes the generation tag check — the exact failure
 //!   mode the `GenTag` discipline exists to prevent.
-//! * [`ShardWave`] — the `ShardedService` publish broadcast: publishes
-//!   and batches share one FIFO queue per shard, so a batch enqueued
-//!   after a publish must resolve against that (or a newer) table, and
-//!   adopted generations step monotonically. `SplitWave` interleaves the
-//!   broadcast with the next batch on one shard.
 
 use crate::model::{Ctx, MemOrdering, ModelSpec, Step};
 
@@ -32,8 +27,6 @@ pub enum SeededBug {
     RelaxedGenStore,
     /// Cache probe skips the generation-tag comparison.
     StaleCacheTag,
-    /// Shard broadcast interleaved with the next batch on one shard.
-    SplitWave,
 }
 
 const DATA: usize = 0;
@@ -229,125 +222,6 @@ impl ModelSpec for CacheProbe {
     }
 }
 
-const JOB_PUBLISH: u64 = 1 << 32;
-const JOB_BATCH: u64 = 2 << 32;
-const JOB_POISON: u64 = 3 << 32;
-
-/// Shard publish wave vs. in-flight batches on per-shard FIFO queues.
-pub struct ShardWave {
-    /// Publish waves (generations 1..=waves), each followed by one batch.
-    pub waves: usize,
-    /// Per-shard job-queue capacity.
-    pub queue_depth: usize,
-    /// Optional seeded bug.
-    pub bug: Option<SeededBug>,
-    /// Publisher send script, derived from `waves` and `bug`.
-    script: Vec<(usize, u64)>,
-}
-
-impl ShardWave {
-    const SHARDS: usize = 2;
-
-    fn build(waves: usize, queue_depth: usize, bug: Option<SeededBug>) -> Self {
-        let mut script = Vec::new();
-        for wave in 1..=waves as u64 {
-            let publish = JOB_PUBLISH | wave;
-            let batch = JOB_BATCH | (wave << 8) | wave; // batch id, expected gen
-            let split = bug == Some(SeededBug::SplitWave) && wave == waves as u64;
-            if split {
-                // Broken broadcast: shard 1 receives the batch that
-                // expects generation `wave` before the publish reaches it.
-                script.push((0, publish));
-                script.push((0, batch));
-                script.push((1, batch));
-                script.push((1, publish));
-            } else {
-                script.push((0, publish));
-                script.push((1, publish));
-                script.push((0, batch));
-                script.push((1, batch));
-            }
-        }
-        script.push((0, JOB_POISON));
-        script.push((1, JOB_POISON));
-        ShardWave {
-            waves,
-            queue_depth,
-            bug,
-            script,
-        }
-    }
-
-    /// Correct FIFO broadcast at ≥10k-interleaving size.
-    pub fn correct() -> Self {
-        Self::build(3, 2, None)
-    }
-
-    /// Publish wave interleaved with the next batch on one shard.
-    pub fn split_wave() -> Self {
-        Self::build(3, 2, Some(SeededBug::SplitWave))
-    }
-}
-
-impl ModelSpec for ShardWave {
-    fn name(&self) -> &'static str {
-        "shard_publish_wave"
-    }
-    fn atomics(&self) -> usize {
-        0
-    }
-    fn queues(&self) -> Vec<usize> {
-        vec![self.queue_depth; Self::SHARDS]
-    }
-    fn threads(&self) -> usize {
-        1 + Self::SHARDS
-    }
-    fn step(&self, t: usize, pc: usize, ctx: &mut Ctx<'_>) -> Step {
-        if t == 0 {
-            if pc >= self.script.len() {
-                return Step::Done;
-            }
-            let (q, job) = self.script[pc];
-            if ctx.send(q, job) {
-                Step::Next
-            } else {
-                Step::Blocked
-            }
-        } else {
-            // Shard: drain the queue; reg0 = adopted generation.
-            let q = t - 1;
-            let Some(job) = ctx.recv(q) else {
-                return Step::Blocked;
-            };
-            match job & (0xf << 32) {
-                JOB_PUBLISH => {
-                    let g = job & 0xff;
-                    if g != ctx.reg(0) + 1 {
-                        return Step::Fail(format!(
-                            "shard {q} adopted generation {g} after {}",
-                            ctx.reg(0)
-                        ));
-                    }
-                    ctx.set_reg(0, g);
-                    Step::Next
-                }
-                JOB_BATCH => {
-                    let expected = job & 0xff;
-                    if ctx.reg(0) != expected {
-                        return Step::Fail(format!(
-                            "shard {q} batch resolved against stale generation {} \
-                             (publish {expected} was enqueued first)",
-                            ctx.reg(0)
-                        ));
-                    }
-                    Step::Next
-                }
-                _ => Step::Done,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -397,25 +271,5 @@ mod tests {
         assert!(failure.message.contains("stale cache hit"), "{failure}");
         let replayed = replay(&spec, &failure.seed).expect_err("seed must reproduce");
         assert!(replayed.message.contains("stale cache hit"), "{replayed}");
-    }
-
-    #[test]
-    fn shard_publish_wave_keeps_batches_on_fresh_tables() {
-        let report = explore(&ShardWave::correct(), &cfg());
-        assert!(report.failure.is_none(), "{:?}", report.failure);
-        assert!(
-            report.schedules >= 10_000,
-            "only {} interleavings explored",
-            report.schedules
-        );
-    }
-
-    #[test]
-    fn split_publish_wave_is_caught() {
-        let spec = ShardWave::split_wave();
-        let report = explore(&spec, &cfg());
-        let failure = report.failure.expect("split wave must be detected");
-        assert!(failure.message.contains("stale generation"), "{failure}");
-        assert!(replay(&spec, &failure.seed).is_err());
     }
 }

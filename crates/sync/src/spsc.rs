@@ -1,11 +1,9 @@
-//! Single-producer queues connecting the dispatcher to workers/shards.
+//! Single-producer queues connecting the dispatcher to workers.
 //!
 //! Thin wrappers over the crossbeam channels the engine already uses; the
 //! newtype makes the producer/consumer topology explicit at type level and
 //! gives the lint a sanctioned surface (raw `crossbeam::channel` stays
-//! inside this crate and the vendored stand-in). The FIFO property of the
-//! bounded queue is what makes the sharded publish wave deterministic —
-//! `programs::shard_publish_wave` checks exactly that.
+//! inside this crate and the vendored stand-in).
 
 pub use crossbeam::channel::{TryRecvError, TrySendError};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvError, SendError, Sender};

@@ -9,14 +9,12 @@
 //!
 //! The direct `LpmCache` probe/fill layer has its own unit proofs in
 //! `vr-engine` (including generation-bump-invalidates-without-touching-
-//! slots); here the properties go through the full services, channels
+//! slots); here the properties go through the full service, channels
 //! and snapshots included.
 
 use proptest::prelude::*;
 use vr_engine::service::lookup_batch_mixed;
-use vr_engine::{
-    LookupService, LpmCache, ServiceConfig, ShardedConfig, ShardedService, TableSnapshot,
-};
+use vr_engine::{LookupService, LpmCache, ServiceConfig, TableSnapshot};
 use vr_net::synth::FamilySpec;
 use vr_net::{SkewedSpec, SkewedTraffic, UpdateMix, UpdateStream};
 use vr_trie::{JumpTrie, MergedTrie};
@@ -140,74 +138,6 @@ proptest! {
         steps in arb_steps(),
     ) {
         check_service_parity(seed, 1usize << slots_pow, &steps);
-    }
-
-    /// Same property through the sharded organization: shard threads own
-    /// their snapshots and caches, and adopt publishes via the job FIFO,
-    /// so the generation tag must invalidate per-shard caches too.
-    #[test]
-    fn cached_sharded_service_is_bit_identical_across_publishes(
-        seed in 0u64..1_000,
-        steps in arb_steps(),
-    ) {
-        let tables = family(seed);
-        let cached_cfg = ShardedConfig {
-            shards: 2,
-            lookup_cache: Some(128),
-            ..ShardedConfig::default()
-        };
-        let uncached_cfg = ShardedConfig {
-            shards: 2,
-            ..ShardedConfig::default()
-        };
-        let mut cached =
-            ShardedService::new(tables.clone(), cached_cfg).expect("cached sharded");
-        let mut uncached =
-            ShardedService::new(tables.clone(), uncached_cfg).expect("uncached sharded");
-        let mut updates = UpdateStream::new(tables.clone(), UpdateMix::default(), 8, seed)
-            .expect("update stream");
-        let mut tables_now = tables;
-        let mut stream = SkewedTraffic::new(SkewedSpec::zipf(K, 1.0, seed), &tables_now)
-            .expect("traffic stream");
-        for (i, step) in steps.iter().enumerate() {
-            match *step {
-                Step::Batch { len, .. } => {
-                    let packets = stream.pairs(len);
-                    let mut want = vec![None; packets.len()];
-                    let mut got = vec![None; packets.len()];
-                    uncached.process_into(&packets, &mut want);
-                    cached.process_into(&packets, &mut got);
-                    assert_eq!(got, want, "step {i}: cached shard diverged");
-                }
-                Step::Churn { updates: n } => {
-                    // The sharded service republishes whole tables; the
-                    // update stream's burst is applied to our copy so
-                    // both sides see the identical new family.
-                    for u in updates.batch(n) {
-                        let t = &mut tables_now[usize::from(u.vnid())];
-                        match u {
-                            vr_net::RouteUpdate::Announce { prefix, next_hop, .. } => {
-                                t.insert(prefix, next_hop);
-                            }
-                            vr_net::RouteUpdate::Withdraw { prefix, .. } => {
-                                t.remove(&prefix);
-                            }
-                        }
-                    }
-                    let g1 = cached.publish_tables(tables_now.clone()).expect("publish");
-                    let g2 = uncached.publish_tables(tables_now.clone()).expect("publish");
-                    assert_eq!(g1, g2, "step {i}: generations diverged");
-                }
-            }
-        }
-        let packets = stream.pairs(256);
-        let mut want = vec![None; packets.len()];
-        let mut got = vec![None; packets.len()];
-        uncached.process_into(&packets, &mut want);
-        cached.process_into(&packets, &mut got);
-        assert_eq!(got, want, "post-schedule sharded batch diverged");
-        let _ = cached.shutdown();
-        let _ = uncached.shutdown();
     }
 
     /// The probe/fill layer itself, single-threaded: an `LpmCache` in

@@ -3,7 +3,7 @@
 //! old or all new, never a torn mix — and post-swap lookups must reflect
 //! the announced/withdrawn routes exactly.
 
-use vr_engine::{LookupService, ServiceConfig, ShardedConfig, ShardedService};
+use vr_engine::{LookupService, ServiceConfig};
 use vr_net::table::{NextHop, RouteEntry};
 use vr_net::{Ipv4Prefix, RouteUpdate, RoutingTable, VnId};
 
@@ -99,71 +99,13 @@ fn inflight_batches_resolve_old_or_new_never_torn() {
     assert!(report.generations_seen.contains(&new_gen));
 }
 
-/// The same acceptance for the sharded service: publishes travel the
-/// shard queues as FIFO broadcast messages, so every sub-batch resolves
-/// against exactly the snapshot queued ahead of it — all old or all
-/// new, never torn — and the post-broadcast waves can only see the new
-/// generation.
-#[test]
-fn sharded_inflight_batches_resolve_old_or_new_never_torn() {
-    let tables = vec![uniform_table(OLD_NH); K];
-    let cfg = ShardedConfig {
-        shards: 4,
-        ..ShardedConfig::default()
-    };
-    let mut svc = ShardedService::new(tables, cfg).expect("sharded service");
-
-    for wave in 0..8u32 {
-        svc.submit(&batch(wave * 1000, 256));
-    }
-    let new_gen = svc
-        .publish_tables(vec![uniform_table(NEW_NH); K])
-        .expect("publish");
-    assert_eq!(new_gen, 1);
-    for wave in 8..16u32 {
-        svc.submit(&batch(wave * 1000, 256));
-    }
-
-    let done = svc.collect_all();
-    let mut lanes = 0usize;
-    let mut seen_new = false;
-    for b in &done {
-        let expect = if b.generation == 0 {
-            OLD_NH
-        } else {
-            assert_eq!(b.generation, new_gen, "unknown generation {}", b.generation);
-            seen_new = true;
-            NEW_NH
-        };
-        assert_eq!(b.results.len(), b.origins.len());
-        lanes += b.results.len();
-        for (i, nh) in b.results.iter().enumerate() {
-            assert_eq!(
-                *nh,
-                Some(expect),
-                "batch seq {} lane {i} torn against generation {}",
-                b.seq,
-                b.generation
-            );
-        }
-    }
-    // Scatter loses no packets: every submitted lane comes back once.
-    assert_eq!(lanes, 16 * 256);
-    // FIFO queues make this deterministic for the sharded service: the
-    // waves submitted after the broadcast *must* see the new snapshot.
-    assert!(seen_new, "post-swap batches must observe the new generation");
-
-    let report = svc.shutdown();
-    assert!(report.swaps >= 1);
-    assert!(report.generations_seen.contains(&new_gen));
-}
-
-/// After `apply_updates`, service lookups reflect each announce and
-/// withdraw; untouched routes keep resolving.
+/// After `apply_updates`, and after `publish_tables` of the same edits
+/// made to whole tables, lookups on a multi-worker service reflect each
+/// announce and withdraw; untouched routes keep resolving.
 #[test]
 fn post_swap_lookups_reflect_route_updates() {
-    let mut svc = service(2);
     let host = Ipv4Prefix::must(0x0A14_1E28, 32);
+    let withdrawn = Ipv4Prefix::must(0xC000_0000, 8);
     let updates = [
         RouteUpdate::Announce {
             vnid: 0,
@@ -172,38 +114,12 @@ fn post_swap_lookups_reflect_route_updates() {
         },
         RouteUpdate::Withdraw {
             vnid: 1,
-            prefix: Ipv4Prefix::must(0xC000_0000, 8),
+            prefix: withdrawn,
         },
     ];
-    svc.apply_updates(&updates).expect("apply");
-
-    let probes: Vec<(VnId, u32)> = vec![
-        (0, 0x0A14_1E28), // announced /32 on VN 0
-        (1, 0x0A14_1E28), // VN 1 unchanged at that address
-        (1, 0xC0FF_EE00), // withdrawn /8 on VN 1 → miss
-        (0, 0xC0FF_EE00), // VN 0 keeps the /8
-    ];
-    let got = svc.process(&probes);
-    assert_eq!(got, vec![Some(77), Some(OLD_NH), None, Some(OLD_NH)]);
-    let _ = svc.shutdown();
-}
-
-/// Sharded post-swap semantics: after a broadcast republish of edited
-/// tables, hash-scattered lookups reflect the announce and the
-/// withdraw in input order, on every shard.
-#[test]
-fn sharded_post_swap_lookups_reflect_table_edits() {
-    let cfg = ShardedConfig {
-        shards: 3,
-        ..ShardedConfig::default()
-    };
-    let mut svc =
-        ShardedService::new(vec![uniform_table(OLD_NH); K], cfg).expect("sharded service");
-
     let mut edited = vec![uniform_table(OLD_NH); K];
-    edited[0].insert(Ipv4Prefix::must(0x0A14_1E28, 32), 77);
-    edited[1].remove(&Ipv4Prefix::must(0xC000_0000, 8));
-    svc.publish_tables(edited).expect("publish");
+    edited[0].insert(host, 77);
+    edited[1].remove(&withdrawn);
 
     let probes: Vec<(VnId, u32)> = vec![
         (0, 0x0A14_1E28), // announced /32 on VN 0
@@ -211,7 +127,15 @@ fn sharded_post_swap_lookups_reflect_table_edits() {
         (1, 0xC0FF_EE00), // withdrawn /8 on VN 1 → miss
         (0, 0xC0FF_EE00), // VN 0 keeps the /8
     ];
-    let got = svc.process(&probes);
-    assert_eq!(got, vec![Some(77), Some(OLD_NH), None, Some(OLD_NH)]);
-    let _ = svc.shutdown();
+    let want = vec![Some(77), Some(OLD_NH), None, Some(OLD_NH)];
+
+    let mut updated = service(2);
+    updated.apply_updates(&updates).expect("apply");
+    assert_eq!(updated.process(&probes), want, "after apply_updates");
+    let _ = updated.shutdown();
+
+    let mut republished = service(3);
+    republished.publish_tables(edited).expect("publish");
+    assert_eq!(republished.process(&probes), want, "after publish_tables");
+    let _ = republished.shutdown();
 }

@@ -139,7 +139,7 @@ proptest! {
             .collect();
         prop_assert_eq!(control.len() as u64, publishes);
         for span in control {
-            prop_assert!(span.worker.is_none() && span.shard.is_none());
+            prop_assert!(span.worker.is_none());
         }
 
         let _ = svc.shutdown();
