@@ -188,7 +188,7 @@ fn cmd_tables(args: &[String]) -> Result<bool, String> {
     let mlp = merged.leaf_pushed();
     reports.push(audit_merged_leaf_pushed(&mlp, &tables));
     reports.push(audit_flat(&FlatTrie::from_merged(&mlp)));
-    reports.push(audit_jump(&JumpTrie::from_merged(&mlp)));
+    reports.push(audit_jump(&JumpTrie::from_merged(&merged)));
     let braided = BraidedTrie::from_tables(&tables).map_err(|e| format!("braiding: {e}"))?;
     reports.push(audit_braided(&braided, &tables));
 

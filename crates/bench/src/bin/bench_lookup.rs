@@ -439,8 +439,8 @@ fn run_scale(
     }
     .generate()
     .unwrap();
-    let merged = MergedTrie::from_tables(&family).unwrap().leaf_pushed();
-    let merged_flat = FlatTrie::from_merged(&merged);
+    let merged = MergedTrie::from_tables(&family).unwrap();
+    let merged_flat = FlatTrie::from_merged(&merged.leaf_pushed());
     let merged_jump = JumpTrie::from_merged(&merged);
 
     // Probe set: perturbed prefix addresses cycled to `probe_count`, so
@@ -665,8 +665,7 @@ fn run_cached_rows(rows: &mut Vec<Row>, iters: usize) {
         .generate()
         .unwrap();
     let n = family[0].prefixes().count();
-    let merged = MergedTrie::from_tables(&family).unwrap().leaf_pushed();
-    let jump = JumpTrie::from_merged(&merged);
+    let jump = JumpTrie::from_merged(&MergedTrie::from_tables(&family).unwrap());
     // Any fixed generation works when driving the trie directly; the
     // services tag slots with the live RCU publish generation instead.
     const GENERATION: u64 = 1;

@@ -6,11 +6,11 @@
 //! trajectory, and a forced α-drop phase proving the hysteretic
 //! re-merge fires exactly once.
 //!
-//! `cargo run --release -p vr-bench --bin control_churn` (accepts
-//! `--quick` for fewer batches and `--smoke` for a tiny CI-only run
-//! that writes `BENCH_control_churn_smoke.json` instead of the
-//! committed `BENCH_control_churn.json`). Full and quick runs assert
-//! the incremental path clears 5× the naive throughput — the
+//! `cargo run --release -p vr-bench --bin control_churn` writes the
+//! committed `BENCH_control_churn.json`. `--quick` runs fewer batches
+//! and writes `BENCH_control_churn_quick.json`; `--smoke` is a tiny run
+//! that writes `BENCH_control_churn_smoke.json`. Full and quick runs
+//! assert the incremental path clears 5× the naive throughput — the
 //! acceptance bar this study exists to demonstrate.
 
 use serde::Serialize;
@@ -389,6 +389,8 @@ fn main() {
 
     let file = if smoke {
         "BENCH_control_churn_smoke.json"
+    } else if quick {
+        "BENCH_control_churn_quick.json"
     } else {
         "BENCH_control_churn.json"
     };

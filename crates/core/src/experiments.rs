@@ -1557,7 +1557,7 @@ pub fn cache_skew_study(cfg: &ExperimentConfig, k: usize) -> Result<Vec<CacheSke
 
     let tables = cfg.family(k, 0.5)?;
     let merged = MergedTrie::from_tables(&tables)?;
-    let jump = JumpTrie::from_merged(&merged.leaf_pushed());
+    let jump = JumpTrie::from_merged(&merged);
     let estimate = quick_estimate(&tables, SchemeKind::Merged, SpeedGrade::Minus2)?;
     let bits_per_packet = f64::from(vr_net::traffic::MIN_PACKET_BYTES * 8);
 

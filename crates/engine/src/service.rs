@@ -630,13 +630,7 @@ impl LookupService {
     }
 
     fn build_trie(tables: &[RoutingTable]) -> Result<JumpTrie, EngineError> {
-        if tables.len() == 1 {
-            Ok(JumpTrie::from_table(&tables[0]))
-        } else {
-            Ok(JumpTrie::from_merged(
-                &MergedTrie::from_tables(tables)?.leaf_pushed(),
-            ))
-        }
+        Ok(JumpTrie::from_merged(&MergedTrie::from_tables(tables)?))
     }
 
     /// Structural audit gate for candidate snapshots: active in debug
@@ -1121,7 +1115,7 @@ impl LookupService {
     /// Propagates merge failures and audit rejections.
     pub fn remerge_publish(&mut self) -> Result<u64, EngineError> {
         let merged = MergedTrie::from_tables(&self.tables)?;
-        let slabs = JumpSlabs::from_merged(&merged);
+        let mut slabs = JumpSlabs::from_merged(&merged);
         let trie = slabs.assemble();
         let generation = self.publish_trie(trie)?;
         self.plant = Some(IncrementalPlant { merged, slabs });

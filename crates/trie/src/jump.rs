@@ -34,7 +34,7 @@
 //! shadow bank while the live bank keeps serving.
 
 use crate::leafpush::LeafPushedTrie;
-use crate::merge::MergedLeafPushed;
+use crate::merge::MergedTrie;
 use crate::multibit::StrideTrie;
 use crate::unibit::{NodeId, UnibitTrie};
 use serde::{Deserialize, Serialize};
@@ -152,12 +152,13 @@ impl JumpTrie {
     /// Builds the jump trie from a leaf-pushed trie (`K = 1`).
     #[must_use]
     pub fn from_leaf_pushed(trie: &LeafPushedTrie) -> Self {
-        Self::build(
-            trie.root(),
-            1,
-            |id| trie.node_children(id),
-            |id, _vn| trie.node_nhi(id),
-        )
+        Self::build(trie.root(), 1, |id, nhis| {
+            let children = trie.node_children(id);
+            if children.is_none() {
+                nhis.push(encode_nhi(trie.node_nhi(id)));
+            }
+            children
+        })
     }
 
     /// Leaf-pushes and converts a uni-bit trie (`K = 1`).
@@ -172,16 +173,35 @@ impl JumpTrie {
         Self::from_unibit(&UnibitTrie::from_table(table))
     }
 
-    /// Converts a K-way merged leaf-pushed trie; leaves keep their K-wide
-    /// VNID-indexed NHI vectors.
+    /// Builds the K-wide jump trie straight from a merged trie, leaf
+    /// pushing on the fly: the result is bit-identical to building over
+    /// [`MergedTrie::leaf_pushed`], without materializing that trie.
+    ///
+    /// The walk visits virtual nodes: a merged node, or a synthetic leaf
+    /// filling the missing side of an internal one. Each carries a row of
+    /// one K-wide arena of effective (leaf-pushed) NHI vectors. A merged
+    /// node that stores no NHI of its own shares its parent's row, and a
+    /// synthetic leaf always does, so the arena holds one row per
+    /// prefix-bearing node plus the all-empty row 0.
     #[must_use]
-    pub fn from_merged(trie: &MergedLeafPushed) -> Self {
-        Self::build(
-            trie.root(),
-            trie.arity(),
-            |id| trie.node_children(id),
-            |id, vn| trie.node_nhi_for(id, vn),
-        )
+    pub fn from_merged(merged: &MergedTrie) -> Self {
+        let k = merged.arity();
+        let mut effs: Vec<NhiCode> = vec![0; k];
+        let root = push_effective(&mut effs, merged, NodeId::ROOT, 0);
+        Self::build((Some(NodeId::ROOT), root), k, |(node, row), nhis| {
+            let children = node
+                .map(|id| (merged.node_child(id, 0), merged.node_child(id, 1)))
+                .filter(|&(l, r)| l.is_some() || r.is_some());
+            let Some((l, r)) = children else {
+                nhis.extend_from_slice(&effs[row * k..(row + 1) * k]);
+                return None;
+            };
+            let mut virt = |child: Option<NodeId>| {
+                let child_row = child.map_or(row, |c| push_effective(&mut effs, merged, c, row));
+                (child, child_row)
+            };
+            Some((virt(l), virt(r)))
+        })
     }
 
     /// Converts a fixed-stride multi-bit trie (`K = 1`) by re-expressing
@@ -233,34 +253,34 @@ impl JumpTrie {
     /// Shared construction: descend the full binary trie to depth 16,
     /// writing final entries for leaves met on the way, then flatten the
     /// surviving depth-16 subtrees breadth-first into `words`.
-    fn build(
-        root: NodeId,
+    ///
+    /// `expand(node, nhis)` returns an internal node's two children, or
+    /// appends a leaf's K-wide NHI vector to `nhis` and returns `None`.
+    /// It is called exactly once per node.
+    fn build<N: Copy>(
+        root: N,
         k: usize,
-        children: impl Fn(NodeId) -> Option<(NodeId, NodeId)>,
-        nhi: impl Fn(NodeId, usize) -> Option<NextHop>,
+        mut expand: impl FnMut(N, &mut Vec<NhiCode>) -> Option<(N, N)>,
     ) -> Self {
         assert!(k >= 1, "NHI vector width must be at least 1");
         let mut table = vec![0u32; ROOT_ENTRIES];
         let mut nhis: Vec<NhiCode> = Vec::new();
-        let emit_leaf = |nhis: &mut Vec<NhiCode>, id: NodeId| -> u32 {
+        // Leaf word of the next vector `expand` appends.
+        let next_leaf = |nhis: &Vec<NhiCode>| -> u32 {
             let slot = u32::try_from(nhis.len() / k).expect("NHI slab overflow");
             debug_assert_eq!(slot & LEAF_BIT, 0, "jump trie too large");
-            for vn in 0..k {
-                nhis.push(encode_nhi(nhi(id, vn)));
-            }
             LEAF_BIT | slot
         };
 
         // Iterative descent to depth 16. `stack` holds (node, index of the
         // first covered /16 bucket, depth); a leaf above the cut covers a
         // whole aligned run of buckets and is emitted once.
-        let mut subtrees: Vec<NodeId> = Vec::new(); // depth-16 internal nodes
-        let mut subtree_buckets: Vec<usize> = Vec::new(); // their root slots
-        let mut stack: Vec<(NodeId, usize, u32)> = vec![(root, 0, 0)];
-        while let Some((id, bucket, depth)) = stack.pop() {
-            match children(id) {
+        let mut subtrees: Vec<(usize, N, N)> = Vec::new(); // depth-16 internal nodes
+        let mut stack: Vec<(N, usize, u32)> = vec![(root, 0, 0)];
+        while let Some((node, bucket, depth)) = stack.pop() {
+            let entry = next_leaf(&nhis);
+            match expand(node, &mut nhis) {
                 None => {
-                    let entry = emit_leaf(&mut nhis, id);
                     let run = 1usize << (JUMP_BITS - depth);
                     table[bucket..bucket + run].fill(entry);
                 }
@@ -269,13 +289,10 @@ impl JumpTrie {
                     stack.push((r, bucket + half, depth + 1));
                     stack.push((l, bucket, depth + 1));
                 }
-                Some(_) => {
-                    // Internal node exactly at the cut: its children open
-                    // the sub-slab; the entry is patched below once the
-                    // child base is known.
-                    subtree_buckets.push(bucket);
-                    subtrees.push(id);
-                }
+                // Internal node exactly at the cut: its children open the
+                // sub-slab; the entry is patched below once the child base
+                // is known.
+                Some((l, r)) => subtrees.push((bucket, l, r)),
             }
         }
 
@@ -286,21 +303,21 @@ impl JumpTrie {
         // internal FlatTrie word.
         let mut words: Vec<u32> = Vec::new();
         let mut level_offsets = vec![0u32];
-        let mut frontier: Vec<NodeId> = Vec::with_capacity(subtrees.len() * 2);
-        for (&id, &bucket) in subtrees.iter().zip(&subtree_buckets) {
-            let (l, r) = children(id).expect("subtree roots are internal");
+        let mut frontier: Vec<N> = Vec::with_capacity(subtrees.len() * 2);
+        for &(bucket, l, r) in &subtrees {
             let child_base = u32::try_from(frontier.len()).expect("jump trie too large");
             debug_assert_eq!(child_base & LEAF_BIT, 0, "jump trie too large");
             table[bucket] = child_base;
             frontier.push(l);
             frontier.push(r);
         }
-        let mut next: Vec<NodeId> = Vec::new();
+        let mut next: Vec<N> = Vec::new();
         while !frontier.is_empty() {
             let next_offset = u32::try_from(words.len() + frontier.len())
                 .expect("jump trie exceeds u32 words");
-            for &id in &frontier {
-                match children(id) {
+            for &node in &frontier {
+                let entry = next_leaf(&nhis);
+                match expand(node, &mut nhis) {
                     Some((l, r)) => {
                         let child_base = next_offset + u32::try_from(next.len()).unwrap();
                         debug_assert_eq!(child_base & LEAF_BIT, 0, "jump trie too large");
@@ -308,7 +325,7 @@ impl JumpTrie {
                         next.push(l);
                         next.push(r);
                     }
-                    None => words.push(emit_leaf(&mut nhis, id)),
+                    None => words.push(entry),
                 }
             }
             level_offsets.push(next_offset);
@@ -390,10 +407,35 @@ impl JumpTrie {
     }
 }
 
+/// Appends node `id`'s effective NHI row to `effs` (its own entries
+/// override row `inherited`) and returns the row; a node storing no NHI
+/// of its own returns `inherited` and appends nothing.
+fn push_effective(
+    effs: &mut Vec<NhiCode>,
+    merged: &MergedTrie,
+    id: NodeId,
+    inherited: usize,
+) -> usize {
+    let own = merged.node_nhis(id);
+    if own.iter().all(Option::is_none) {
+        return inherited;
+    }
+    let k = own.len();
+    let row = effs.len() / k;
+    effs.extend_from_within(inherited * k..(inherited + 1) * k);
+    for (slot, nhi) in effs[row * k..].iter_mut().zip(own) {
+        if nhi.is_some() {
+            *slot = encode_nhi(*nhi);
+        }
+    }
+    row
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merge::MergedTrie;
+    use crate::merge::fixtures::{assert_same_parts, family, Churn, ARITIES};
+    use crate::merge::MergedLeafPushed;
     use vr_net::synth::TableSpec;
 
     fn table(text: &str) -> RoutingTable {
@@ -468,11 +510,42 @@ mod tests {
             table(""),
         ];
         let merged = MergedTrie::from_tables(&tables).unwrap();
-        let jump = JumpTrie::from_merged(&merged.leaf_pushed());
+        let jump = JumpTrie::from_merged(&merged);
         assert_eq!(jump.arity(), 3);
         for (vn, t) in tables.iter().enumerate() {
             for ip in probes(t) {
                 assert_eq!(jump.lookup_vn(vn, ip), t.lookup(ip), "vn {vn} ip {ip:#010x}");
+            }
+        }
+    }
+
+    /// The generic builder over a materialized leaf-pushed merged trie:
+    /// the reference [`JumpTrie::from_merged`] must reproduce.
+    fn reference(trie: &MergedLeafPushed) -> JumpTrie {
+        let k = trie.arity();
+        JumpTrie::build(trie.root(), k, |id, nhis| {
+            let children = trie.node_children(id);
+            if children.is_none() {
+                nhis.extend((0..k).map(|vn| encode_nhi(trie.node_nhi_for(id, vn))));
+            }
+            children
+        })
+    }
+
+    #[test]
+    fn direct_merged_build_equals_leaf_pushed_build() {
+        for k in ARITIES {
+            let mut tables = family(k, 7 + k as u64);
+            let mut merged = MergedTrie::from_tables(&tables).unwrap();
+            let mut churn = Churn::new(k as u64);
+            for round in 0..3 {
+                let what = format!("K={k} round {round}");
+                let direct = JumpTrie::from_merged(&merged);
+                assert_same_parts(&direct, &reference(&merged.leaf_pushed()), &what);
+                if k == 1 {
+                    assert_same_parts(&direct, &JumpTrie::from_table(&tables[0]), &what);
+                }
+                churn.round(&mut merged, &mut tables, 200);
             }
         }
     }

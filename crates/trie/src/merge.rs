@@ -22,6 +22,7 @@
 
 use crate::unibit::{NodeId, UnibitTrie};
 use crate::TrieError;
+use std::ops::Range;
 use vr_net::table::NextHop;
 use vr_net::{Ipv4Prefix, RoutingTable};
 
@@ -29,28 +30,22 @@ use vr_net::{Ipv4Prefix, RoutingTable};
 /// paper evaluates K ≤ 15, Fig. 4 sweeps to 30).
 pub const MAX_MERGE_ARITY: usize = 64;
 
-#[derive(Debug, Clone)]
+/// Longest path from the root: one node per prefix bit plus the root.
+const MAX_PATH: usize = 33;
+
+#[derive(Debug, Clone, Copy)]
 struct MergedNode {
     children: [Option<NodeId>; 2],
     /// Bit k set ⇔ VN k has ≥1 prefix at or below this node — i.e. the
     /// node lies in VN k's own trie.
     presence: u64,
-    /// Per-VN prefix NHI stored at this position (pre leaf pushing).
-    nhis: Vec<Option<NextHop>>,
-    /// Per-VN count of prefixes in this node's subtree (incl. itself);
-    /// drives presence maintenance and pruning under withdrawals.
-    subtree_prefixes: Vec<u32>,
 }
 
 impl MergedNode {
-    fn empty(k: usize) -> Self {
-        Self {
-            children: [None, None],
-            presence: 0,
-            nhis: vec![None; k],
-            subtree_prefixes: vec![0; k],
-        }
-    }
+    const EMPTY: Self = Self {
+        children: [None, None],
+        presence: 0,
+    };
 
     fn is_leaf(&self) -> bool {
         self.children[0].is_none() && self.children[1].is_none()
@@ -59,6 +54,10 @@ impl MergedNode {
 
 /// The K-way overlay of uni-bit tries (before leaf pushing), supporting
 /// incremental announce/withdraw per virtual network.
+///
+/// The per-VN state of every node lives in two flat K-wide arenas indexed
+/// by `id * k`, not in per-node vectors, so building or cloning the trie
+/// takes a fixed number of allocations, not two per node.
 ///
 /// ```
 /// use vr_trie::MergedTrie;
@@ -76,6 +75,13 @@ impl MergedNode {
 #[derive(Debug, Clone)]
 pub struct MergedTrie {
     nodes: Vec<MergedNode>,
+    /// Per-VN prefix NHI stored at each node (pre leaf pushing), `k`
+    /// entries per node.
+    nhis: Vec<Option<NextHop>>,
+    /// Per-VN count of prefixes in each node's subtree (incl. itself), `k`
+    /// entries per node; drives presence maintenance and pruning under
+    /// withdrawals.
+    subtree_prefixes: Vec<u32>,
     free: Vec<NodeId>,
     live_nodes: usize,
     k: usize,
@@ -96,7 +102,9 @@ impl MergedTrie {
             return Err(TrieError::BadMergeArity(k));
         }
         Ok(Self {
-            nodes: vec![MergedNode::empty(k)],
+            nodes: vec![MergedNode::EMPTY],
+            nhis: vec![None; k],
+            subtree_prefixes: vec![0; k],
             free: Vec::new(),
             live_nodes: 1,
             k,
@@ -115,24 +123,99 @@ impl MergedTrie {
         Self::from_tables(&tables)
     }
 
-    /// Builds the merged trie from routing tables.
+    /// Builds the merged trie from routing tables in bulk.
+    ///
+    /// Each table is walked in its `(addr, len)` order and every insert
+    /// resumes from the deepest node its prefix shares with the previous
+    /// one, storing only the NHI. Subtree counts, presence masks and the
+    /// per-VN and common tallies are then derived in one reverse sweep,
+    /// so the result equals announcing every route with
+    /// [`MergedTrie::insert`].
     ///
     /// # Errors
     /// Same arity constraints as [`MergedTrie::new`].
     pub fn from_tables(tables: &[RoutingTable]) -> Result<Self, TrieError> {
         let mut merged = Self::new(tables.len())?;
-        // Merging overlays the K tries, so the node count is bounded by the
-        // largest member plus the unshared tails of the others; reserve for
-        // a typical ~3-nodes-per-prefix fill of the biggest table to avoid
-        // repeated arena reallocation during the bulk build.
+        let k = merged.k;
+        // Merging overlays the K tries, so the node count is the largest
+        // member plus the unshared tails of the others: ~3 nodes per
+        // prefix of the largest table and ~1.5 per prefix of the rest.
+        // Paper-scale families (3,725 prefixes per table, shared fraction
+        // 0.5) measure 11,087 nodes at K = 1, 27,468 at K = 4 and 84,005
+        // at K = 15; reserving for that fill keeps the arena from
+        // regrowing mid-build.
         let largest = tables.iter().map(RoutingTable::len).max().unwrap_or(0);
-        merged.nodes.reserve(largest.saturating_mul(3) + 1);
+        let total: usize = tables.iter().map(RoutingTable::len).sum();
+        let reserve = 3 * largest + 3 * (total - largest) / 2 + 1;
+        merged.nodes.reserve(reserve);
+        merged.nhis.reserve(reserve.saturating_mul(k));
         for (vnid, table) in tables.iter().enumerate() {
+            // `path[d]` is the depth-d node on the previous prefix's path.
+            let mut path = [NodeId::ROOT; MAX_PATH];
+            let mut prev = Ipv4Prefix::DEFAULT_ROUTE;
             for entry in table.iter() {
-                merged.insert(vnid, entry.prefix, entry.next_hop);
+                let prefix = entry.prefix;
+                let shared = (prev.addr() ^ prefix.addr())
+                    .leading_zeros()
+                    .min(u32::from(prev.len().min(prefix.len()))) as usize;
+                let mut cur = path[shared];
+                for depth in shared..usize::from(prefix.len()) {
+                    let slot = ((prefix.addr() >> (31 - depth)) & 1) as usize;
+                    cur = match merged.nodes[cur.idx()].children[slot] {
+                        Some(child) => child,
+                        None => {
+                            let child = merged.push_node();
+                            merged.nodes[cur.idx()].children[slot] = Some(child);
+                            child
+                        }
+                    };
+                    path[depth + 1] = cur;
+                }
+                merged.nhis[cur.idx() * k + vnid] = Some(entry.next_hop);
+                prev = prefix;
             }
         }
+        merged.derive_counts();
         Ok(merged)
+    }
+
+    /// Appends a fresh node to the arena without touching the counters:
+    /// the bulk build derives those once at the end.
+    fn push_node(&mut self) -> NodeId {
+        let id = NodeId(u32::try_from(self.nodes.len()).expect("merged trie exceeds u32 nodes"));
+        self.nodes.push(MergedNode::EMPTY);
+        self.nhis.resize(self.nhis.len() + self.k, None);
+        id
+    }
+
+    /// Derives subtree counts, presence masks and the per-VN and common
+    /// tallies from the stored NHIs in one reverse sweep over a fresh
+    /// arena, where every child's id exceeds its parent's.
+    fn derive_counts(&mut self) {
+        let k = self.k;
+        let full = full_mask(k);
+        self.live_nodes = self.nodes.len();
+        self.subtree_prefixes = vec![0; self.nodes.len() * k];
+        for i in (0..self.nodes.len()).rev() {
+            let children = self.nodes[i].children;
+            let mut presence = 0u64;
+            for vn in 0..k {
+                let mut count = u32::from(self.nhis[i * k + vn].is_some());
+                for child in children.into_iter().flatten() {
+                    debug_assert!(child.idx() > i, "bulk arena is parent-before-child");
+                    count += self.subtree_prefixes[child.idx() * k + vn];
+                }
+                self.subtree_prefixes[i * k + vn] = count;
+                if count > 0 {
+                    presence |= 1u64 << vn;
+                    self.per_vn_nodes[vn] += 1;
+                }
+            }
+            self.nodes[i].presence = presence;
+            if presence == full {
+                self.common_nodes += 1;
+            }
+        }
     }
 
     /// Number of virtual networks merged.
@@ -161,10 +244,9 @@ impl MergedTrie {
     pub fn insert(&mut self, vnid: usize, prefix: Ipv4Prefix, next_hop: NextHop) -> Option<NextHop> {
         assert!(vnid < self.k, "vnid out of range");
         // Walk/create the path.
-        let mut path = Vec::with_capacity(usize::from(prefix.len()) + 1);
+        let mut path = [NodeId::ROOT; MAX_PATH];
         let mut cur = NodeId::ROOT;
-        path.push(cur);
-        for bit in prefix.bits() {
+        for (depth, bit) in prefix.bits().enumerate() {
             let slot = usize::from(bit);
             cur = match self.nodes[cur.idx()].children[slot] {
                 Some(child) => child,
@@ -174,15 +256,15 @@ impl MergedTrie {
                     child
                 }
             };
-            path.push(cur);
+            path[depth + 1] = cur;
         }
-        let prev = self.nodes[cur.idx()].nhis[vnid].replace(next_hop);
+        let prev = self.nhis[cur.idx() * self.k + vnid].replace(next_hop);
         if prev.is_none() {
             let bit = 1u64 << vnid;
             let full = full_mask(self.k);
-            for id in path {
+            for id in &path[..=usize::from(prefix.len())] {
+                self.subtree_prefixes[id.idx() * self.k + vnid] += 1;
                 let node = &mut self.nodes[id.idx()];
-                node.subtree_prefixes[vnid] += 1;
                 if node.presence & bit == 0 {
                     node.presence |= bit;
                     self.per_vn_nodes[vnid] += 1;
@@ -202,21 +284,22 @@ impl MergedTrie {
     /// Panics if `vnid ≥ arity`.
     pub fn remove(&mut self, vnid: usize, prefix: &Ipv4Prefix) -> Option<NextHop> {
         assert!(vnid < self.k, "vnid out of range");
-        let mut path = Vec::with_capacity(usize::from(prefix.len()) + 1);
+        // `path[d]` is the depth-d node and the branch taken to reach it.
+        let mut path = [(NodeId::ROOT, 0u8); MAX_PATH];
         let mut cur = NodeId::ROOT;
-        path.push((cur, 0u8));
-        for bit in prefix.bits() {
-            let slot = usize::from(bit);
-            cur = self.nodes[cur.idx()].children[slot]?;
-            path.push((cur, slot as u8));
+        for (depth, bit) in prefix.bits().enumerate() {
+            cur = self.nodes[cur.idx()].children[usize::from(bit)]?;
+            path[depth + 1] = (cur, u8::from(bit));
         }
-        let removed = self.nodes[cur.idx()].nhis[vnid].take()?;
+        let removed = self.nhis[cur.idx() * self.k + vnid].take()?;
         let bit = 1u64 << vnid;
         let full = full_mask(self.k);
-        for (id, _) in &path {
+        let mut top = usize::from(prefix.len());
+        for (id, _) in &path[..=top] {
+            let count = &mut self.subtree_prefixes[id.idx() * self.k + vnid];
+            *count -= 1;
             let node = &mut self.nodes[id.idx()];
-            node.subtree_prefixes[vnid] -= 1;
-            if node.subtree_prefixes[vnid] == 0 && node.presence & bit != 0 {
+            if *count == 0 && node.presence & bit != 0 {
                 if node.presence == full {
                     self.common_nodes -= 1;
                 }
@@ -227,14 +310,14 @@ impl MergedTrie {
         // Prune orphaned nodes bottom-up (never the root). A node with
         // zero presence has no prefixes in its subtree for any VN, hence
         // no live descendants either.
-        while path.len() > 1 {
-            let (id, slot) = *path.last().expect("path non-empty");
+        while top > 0 {
+            let (id, slot) = path[top];
             let node = &self.nodes[id.idx()];
             if node.presence != 0 || !node.is_leaf() {
                 break;
             }
-            path.pop();
-            let (parent, _) = *path.last().expect("root remains");
+            top -= 1;
+            let (parent, _) = path[top];
             self.nodes[parent.idx()].children[usize::from(slot)] = None;
             self.free.push(id);
             self.live_nodes -= 1;
@@ -245,14 +328,22 @@ impl MergedTrie {
     fn alloc(&mut self) -> NodeId {
         self.live_nodes += 1;
         if let Some(id) = self.free.pop() {
-            self.nodes[id.idx()] = MergedNode::empty(self.k);
+            // A pruned node had zero presence, so its rows are already
+            // all-empty and all-zero.
+            debug_assert!(self.nhis[self.row(id)].iter().all(Option::is_none));
+            debug_assert!(self.subtree_prefixes[self.row(id)].iter().all(|&c| c == 0));
+            self.nodes[id.idx()] = MergedNode::EMPTY;
             id
         } else {
-            let id =
-                NodeId(u32::try_from(self.nodes.len()).expect("merged trie exceeds u32 nodes"));
-            self.nodes.push(MergedNode::empty(self.k));
+            let id = self.push_node();
+            self.subtree_prefixes.resize(self.subtree_prefixes.len() + self.k, 0);
             id
         }
+    }
+
+    /// Node `id`'s K-wide row in the `nhis` and `subtree_prefixes` arenas.
+    fn row(&self, id: NodeId) -> Range<usize> {
+        id.idx() * self.k..(id.idx() + 1) * self.k
     }
 
     /// Iterates the live nodes (root first, depth-first).
@@ -320,13 +411,13 @@ impl MergedTrie {
     pub fn lookup(&self, vnid: usize, ip: u32) -> Option<NextHop> {
         debug_assert!(vnid < self.k);
         let mut cur = 0usize;
-        let mut best = self.nodes[cur].nhis[vnid];
+        let mut best = self.nhis[vnid];
         for depth in 0..32u8 {
             let bit = ((ip >> (31 - depth)) & 1) as usize;
             match self.nodes[cur].children[bit] {
                 Some(child) => {
                     cur = child.idx();
-                    if let Some(nh) = self.nodes[cur].nhis[vnid] {
+                    if let Some(nh) = self.nhis[cur * self.k + vnid] {
                         best = Some(nh);
                     }
                 }
@@ -353,7 +444,7 @@ impl MergedTrie {
             "batch destination and output slices must match"
         );
         debug_assert!(vnid < self.k);
-        out.fill(self.nodes[0].nhis[vnid]);
+        out.fill(self.nhis[vnid]);
         let mut cur: Vec<usize> = vec![0; dsts.len()];
         let mut active: Vec<u32> = (0..u32::try_from(dsts.len()).expect("batch too large")).collect();
         let mut survivors: Vec<u32> = Vec::with_capacity(active.len());
@@ -366,7 +457,7 @@ impl MergedTrie {
                 let bit = ((dsts[idx] >> (31 - depth)) & 1) as usize;
                 if let Some(child) = self.nodes[cur[idx]].children[bit] {
                     cur[idx] = child.idx();
-                    if let Some(nh) = self.nodes[child.idx()].nhis[vnid] {
+                    if let Some(nh) = self.nhis[child.idx() * self.k + vnid] {
                         out[idx] = Some(nh);
                     }
                     survivors.push(i);
@@ -398,15 +489,17 @@ impl MergedTrie {
             if node.presence == full {
                 common += 1;
             }
+            let row = self.row(id);
+            let (nhis, subtree) = (&self.nhis[row.clone()], &self.subtree_prefixes[row]);
             for vn in 0..self.k {
                 let bit_set = node.presence & (1u64 << vn) != 0;
-                if bit_set != (node.subtree_prefixes[vn] > 0) {
+                if bit_set != (subtree[vn] > 0) {
                     return false;
                 }
                 if bit_set {
                     per_vn[vn] += 1;
                 }
-                if node.nhis[vn].is_some() {
+                if nhis[vn].is_some() {
                     prefix_totals[vn] += 1;
                 }
             }
@@ -416,9 +509,9 @@ impl MergedTrie {
             }
         }
         // Root subtree counters must equal total prefixes per VN.
-        let root = &self.nodes[NodeId::ROOT.idx()];
+        let root = &self.subtree_prefixes[self.row(NodeId::ROOT)];
         for (vn, total) in prefix_totals.iter().enumerate() {
-            if u64::from(root.subtree_prefixes[vn]) != *total {
+            if u64::from(root[vn]) != *total {
                 return false;
             }
         }
@@ -426,6 +519,8 @@ impl MergedTrie {
             && per_vn == self.per_vn_nodes
             && common == self.common_nodes
             && self.live_nodes + self.free.len() == self.nodes.len()
+            && self.nhis.len() == self.nodes.len() * self.k
+            && self.subtree_prefixes.len() == self.nodes.len() * self.k
     }
 
     /// Child of node `id` along branch `bit` (0 = left, 1 = right).
@@ -447,11 +542,7 @@ impl MergedTrie {
     /// Panics if `id` is not a live node id.
     #[must_use]
     pub fn node_nhis(&self, id: NodeId) -> &[Option<NextHop>] {
-        &self.nodes[id.idx()].nhis
-    }
-
-    fn node(&self, id: NodeId) -> &MergedNode {
-        &self.nodes[id.idx()]
+        &self.nhis[self.row(id)]
     }
 }
 
@@ -659,9 +750,9 @@ fn push(
     inherited: &[Option<NextHop>],
     nodes: &mut Vec<MlpNode>,
 ) -> NodeId {
-    let node = merged.node(id);
-    let effective: Vec<Option<NextHop>> = node
-        .nhis
+    let node = &merged.nodes[id.idx()];
+    let effective: Vec<Option<NextHop>> = merged
+        .node_nhis(id)
         .iter()
         .zip(inherited)
         .map(|(own, inh)| own.or(*inh))
@@ -704,6 +795,95 @@ pub fn merge_tables(tables: &[RoutingTable]) -> Result<(MergedTrie, MergedLeafPu
     let merged = MergedTrie::from_tables(tables)?;
     let pushed = merged.leaf_pushed();
     Ok((merged, pushed))
+}
+
+/// Table families and churn shared by the merged-trie equivalence tests
+/// here, in `jump` and in `subslab`.
+#[cfg(test)]
+pub(crate) mod fixtures {
+    use super::MergedTrie;
+    use crate::jump::JumpTrie;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use vr_net::synth::{FamilySpec, PrefixLenDistribution};
+    use vr_net::{Ipv4Prefix, RoutingTable};
+
+    /// The arities every equivalence test runs at.
+    pub(crate) const ARITIES: [usize; 4] = [1, 4, 15, 64];
+
+    /// A `k`-table edge family of 300 prefixes per table.
+    pub(crate) fn family(k: usize, seed: u64) -> Vec<RoutingTable> {
+        FamilySpec {
+            k,
+            prefixes_per_table: 300,
+            shared_fraction: 0.6,
+            seed,
+            distribution: PrefixLenDistribution::edge_default(),
+            next_hops: 12,
+        }
+        .generate()
+        .unwrap()
+    }
+
+    /// Asserts two jump tries have identical raw encodings.
+    pub(crate) fn assert_same_parts(got: &JumpTrie, want: &JumpTrie, what: &str) {
+        let (g, w) = (got.raw_parts(), want.raw_parts());
+        assert_eq!(g.k, w.k, "{what}: k");
+        assert!(g.root == w.root, "{what}: root table");
+        assert!(g.words == w.words, "{what}: words");
+        assert_eq!(g.level_offsets, w.level_offsets, "{what}: level offsets");
+        assert!(g.nhis == w.nhis, "{what}: NHI slab");
+    }
+
+    /// Seeded withdraw/re-announce churn.
+    pub(crate) struct Churn {
+        rng: SmallRng,
+        withdrawn: Vec<Ipv4Prefix>,
+    }
+
+    impl Churn {
+        pub(crate) fn new(seed: u64) -> Self {
+            Self {
+                rng: SmallRng::seed_from_u64(seed),
+                withdrawn: Vec::new(),
+            }
+        }
+
+        /// Applies `updates` random updates to `merged` and mirrors them
+        /// into `tables`: withdraw a random route, re-announce an earlier
+        /// withdrawal in a random VN with a random next hop, or announce a
+        /// fresh prefix. Withdrawals prune nodes onto the free list and
+        /// announces reuse them, so children land at lower ids than their
+        /// parents. Returns every prefix touched.
+        pub(crate) fn round(
+            &mut self,
+            merged: &mut MergedTrie,
+            tables: &mut [RoutingTable],
+            updates: usize,
+        ) -> Vec<Ipv4Prefix> {
+            let mut touched = Vec::with_capacity(updates);
+            for _ in 0..updates {
+                let vn = self.rng.gen_range(0..tables.len());
+                let roll = self.rng.gen_range(0..3u8);
+                if roll == 0 && !tables[vn].is_empty() {
+                    let nth = self.rng.gen_range(0..tables[vn].len());
+                    let prefix = tables[vn].prefixes().nth(nth).expect("index in range");
+                    assert_eq!(merged.remove(vn, &prefix), tables[vn].remove(&prefix));
+                    self.withdrawn.push(prefix);
+                    touched.push(prefix);
+                } else {
+                    let reannounce = if roll == 1 { self.withdrawn.pop() } else { None };
+                    let prefix = reannounce.unwrap_or_else(|| {
+                        Ipv4Prefix::must(self.rng.gen(), self.rng.gen_range(8..=28))
+                    });
+                    let nh = self.rng.gen_range(0..12u8);
+                    assert_eq!(merged.insert(vn, prefix, nh), tables[vn].insert(prefix, nh));
+                    touched.push(prefix);
+                }
+            }
+            touched
+        }
+    }
 }
 
 #[cfg(test)]
@@ -967,6 +1147,67 @@ mod tests {
         merged.insert(1, "172.16.0.0/12".parse().unwrap(), 2);
         assert!(merged.nodes.len() <= arena, "free list must be reused");
         assert!(merged.check_invariants());
+    }
+
+    /// Announces every route one `insert` at a time.
+    fn per_route(tables: &[RoutingTable]) -> MergedTrie {
+        let mut merged = MergedTrie::new(tables.len()).unwrap();
+        for (vnid, table) in tables.iter().enumerate() {
+            for entry in table.iter() {
+                merged.insert(vnid, entry.prefix, entry.next_hop);
+            }
+        }
+        merged
+    }
+
+    fn assert_same_counts(bulk: &MergedTrie, reference: &MergedTrie, what: &str) {
+        assert!(bulk.check_invariants(), "{what}: bulk invariants");
+        assert!(reference.check_invariants(), "{what}: per-route invariants");
+        assert_eq!(bulk.node_count(), reference.node_count(), "{what}: nodes");
+        assert_eq!(
+            bulk.common_node_count(),
+            reference.common_node_count(),
+            "{what}: common nodes"
+        );
+        for vn in 0..bulk.arity() {
+            assert_eq!(
+                bulk.vn_node_count(vn),
+                reference.vn_node_count(vn),
+                "{what}: VN {vn} nodes"
+            );
+        }
+    }
+
+    #[test]
+    fn bulk_build_matches_per_route_inserts_under_churn() {
+        use fixtures::{family, Churn, ARITIES};
+        for k in ARITIES {
+            let mut tables = family(k, 61 + k as u64);
+            let mut mirror = tables.clone();
+            let mut bulk = MergedTrie::from_tables(&tables).unwrap();
+            let mut reference = per_route(&tables);
+            assert_same_counts(&bulk, &reference, &format!("K={k} fresh"));
+            // The same seeded churn on both tries, each against its own
+            // copy of the tables.
+            let (mut churn, mut replay) = (Churn::new(k as u64), Churn::new(k as u64));
+            for round in 0..4 {
+                churn.round(&mut bulk, &mut tables, 150);
+                replay.round(&mut reference, &mut mirror, 150);
+                let what = format!("K={k} round {round}");
+                assert_same_counts(&bulk, &reference, &what);
+                assert_same_counts(&bulk, &MergedTrie::from_tables(&tables).unwrap(), &what);
+            }
+            // Free-list reuse broke the bulk arena's parent-before-child
+            // order, so the churned trie is not one `from_tables` builds.
+            let inverted = bulk.walk().any(|id| {
+                bulk.nodes[id.idx()]
+                    .children
+                    .into_iter()
+                    .flatten()
+                    .any(|child| child.idx() < id.idx())
+            });
+            assert!(inverted, "K={k}: churn left the id order intact");
+        }
     }
 
     #[test]

@@ -21,43 +21,38 @@
 //! (leaf-push completeness, even child pairs, level-ordered slabs) and is
 //! expected to pass the `vr-audit` structural verifier on every publish;
 //! property tests in this module and in `tests/` hold it to lookup parity
-//! with the from-scratch [`JumpTrie::from_merged`] build.
+//! with the from-scratch [`JumpTrie::from_merged`] build, and the patched
+//! slabs to bit-identity with a fresh decomposition at every generation.
 //!
-//! Leaf NHI vectors are interned during assembly (identical K-wide
-//! vectors share one slab slot), mirroring the hardware's shared NHI
-//! memory, so per-bucket duplication does not inflate the published slab.
+//! Leaf NHI vectors are interned (identical K-wide vectors share one slab
+//! slot), mirroring the hardware's shared NHI memory, so per-bucket
+//! duplication does not inflate the published slab. The interner is
+//! **persistent**: it lives in the [`JumpSlabs`], decomposition and
+//! bucket rebuilds intern into it, and buckets hold its global slots (a
+//! direct bucket one slot, a leaf word `LEAF_BIT | slot`). Assembly then
+//! hashes nothing: it renumbers the slots the buckets reference in
+//! first-reference order and copies each live vector once, which yields
+//! exactly the slab that interning every reference afresh would. Slots
+//! that rebuilt buckets no longer reference go stale; whenever an
+//! assembly finds the interner holding more than twice the live slots,
+//! it compacts the interner to the live vectors and renumbers the
+//! buckets, so stale vectors stay bounded under any churn.
 
-use crate::jump::{encode_nhi, NhiCode, JumpTrie, JUMP_BITS, LEAF_BIT, ROOT_ENTRIES};
+use crate::jump::{encode_nhi, JumpTrie, NhiCode, JUMP_BITS, LEAF_BIT, PAYLOAD_MASK, ROOT_ENTRIES};
 use crate::merge::MergedTrie;
 use crate::unibit::NodeId;
 use vr_net::Ipv4Prefix;
 
-/// One /16 bucket's sub-trie in bucket-local level-slab encoding.
-///
-/// * `levels[0]` holds the bucket's depth-17 node pair; an internal word
-///   at level `l` is the *local* index of its left child in
-///   `levels[l + 1]`, a leaf word is `LEAF_BIT | local NHI slot`.
-/// * A **direct** bucket (resolved wholly by the root table) has no
-///   levels and exactly one K-wide NHI vector.
+/// One /16 bucket in bucket-local level-slab encoding. Every NHI vector
+/// it refers to is a slot of the owning [`JumpSlabs`]' interner.
 #[derive(Debug, Clone)]
-struct Bucket {
-    levels: Vec<Vec<u32>>,
-    nhis: Vec<NhiCode>,
-}
-
-impl Bucket {
-    fn direct(nhis: Vec<NhiCode>) -> Self {
-        Self {
-            levels: Vec::new(),
-            nhis,
-        }
-    }
-
-    fn push_leaf(&mut self, k: usize, vector: &[NhiCode]) -> u32 {
-        let slot = u32::try_from(self.nhis.len() / k).expect("bucket NHI slab overflow");
-        self.nhis.extend_from_slice(vector);
-        slot
-    }
+enum Bucket {
+    /// Resolved wholly by the root table: one interned K-wide vector.
+    Direct(u32),
+    /// A sub-trie: `levels[0]` holds the bucket's depth-17 node pair; an
+    /// internal word at level `l` is the *local* index of its left child
+    /// in `levels[l + 1]`, a leaf word is `LEAF_BIT | slot`.
+    Sub(Vec<Vec<u32>>),
 }
 
 /// A child position in the leaf-pushed view of the merged trie: either a
@@ -75,20 +70,20 @@ enum Virt {
 pub struct JumpSlabs {
     k: usize,
     buckets: Vec<Bucket>,
+    /// Every NHI vector the buckets refer to, plus stale ones that
+    /// rebuilt buckets no longer reference (bounded by [`Self::assemble`]).
+    interner: NhiInterner,
 }
 
 impl JumpSlabs {
     /// Decomposes a merged trie into per-bucket sub-slabs (the
-    /// incremental counterpart of [`JumpTrie::from_merged`], which
-    /// leaf-pushes on the fly instead of materializing
-    /// [`crate::MergedLeafPushed`]).
+    /// incremental counterpart of [`JumpTrie::from_merged`]).
     #[must_use]
     pub fn from_merged(merged: &MergedTrie) -> Self {
         let k = merged.arity();
-        let mut slabs = Self {
-            k,
-            buckets: vec![Bucket::direct(vec![0; k]); ROOT_ENTRIES],
-        };
+        let mut interner = NhiInterner::new(k);
+        let empty = interner.intern(&vec![0; k]);
+        let mut buckets = vec![Bucket::Direct(empty); ROOT_ENTRIES];
         // Iterative leaf-pushing descent to the 16-bit cut. Each stack
         // entry carries the NHI vector inherited from ancestors; a leaf
         // (or a missing child) above the cut covers an aligned run of
@@ -101,32 +96,31 @@ impl JumpSlabs {
             let right = merged.node_child(id, 1);
             if left.is_none() && right.is_none() {
                 let run = 1usize << (JUMP_BITS - depth);
-                for b in bucket..bucket + run {
-                    slabs.buckets[b] = Bucket::direct(eff.clone());
-                }
+                buckets[bucket..bucket + run].fill(Bucket::Direct(interner.intern(&eff)));
             } else if depth < JUMP_BITS {
                 let half = 1usize << (JUMP_BITS - depth - 1);
                 match right {
                     Some(child) => stack.push((child, bucket + half, depth + 1, eff.clone())),
                     None => {
-                        for b in bucket + half..bucket + 2 * half {
-                            slabs.buckets[b] = Bucket::direct(eff.clone());
-                        }
+                        buckets[bucket + half..bucket + 2 * half]
+                            .fill(Bucket::Direct(interner.intern(&eff)));
                     }
                 }
                 match left {
                     Some(child) => stack.push((child, bucket, depth + 1, eff.clone())),
                     None => {
-                        for b in bucket..bucket + half {
-                            slabs.buckets[b] = Bucket::direct(eff.clone());
-                        }
+                        buckets[bucket..bucket + half].fill(Bucket::Direct(interner.intern(&eff)));
                     }
                 }
             } else {
-                slabs.buckets[bucket] = build_bucket(merged, id, &eff);
+                buckets[bucket] = build_bucket(merged, id, &eff, &mut interner);
             }
         }
-        slabs
+        Self {
+            k,
+            buckets,
+            interner,
+        }
     }
 
     /// NHI vector width K.
@@ -148,13 +142,13 @@ impl JumpSlabs {
         let mut eff = effective(merged, id, &vec![0; self.k]);
         for depth in 0..JUMP_BITS {
             if merged.node_child(id, 0).is_none() && merged.node_child(id, 1).is_none() {
-                self.buckets[bucket] = Bucket::direct(eff);
+                self.buckets[bucket] = Bucket::Direct(self.interner.intern(&eff));
                 return;
             }
             let bit = (bucket >> (JUMP_BITS - 1 - depth)) & 1;
             match merged.node_child(id, bit) {
                 None => {
-                    self.buckets[bucket] = Bucket::direct(eff);
+                    self.buckets[bucket] = Bucket::Direct(self.interner.intern(&eff));
                     return;
                 }
                 Some(child) => {
@@ -165,24 +159,35 @@ impl JumpSlabs {
         }
         self.buckets[bucket] =
             if merged.node_child(id, 0).is_none() && merged.node_child(id, 1).is_none() {
-                Bucket::direct(eff)
+                Bucket::Direct(self.interner.intern(&eff))
             } else {
-                build_bucket(merged, id, &eff)
+                build_bucket(merged, id, &eff, &mut self.interner)
             };
     }
 
     /// Concatenates all buckets into a publishable [`JumpTrie`]: one pass
     /// computing per-level totals, then a straight level-major copy with
-    /// local→global index translation and NHI-vector interning. No trie
-    /// walks — cost is O(total words), independent of K and table size
-    /// beyond the structure itself.
-    #[must_use]
-    pub fn assemble(&self) -> JumpTrie {
-        let depth = self.buckets.iter().map(|b| b.levels.len()).max().unwrap_or(0);
+    /// local→global index translation. No trie walks and no hashing —
+    /// cost is O(total words), independent of K and table size beyond
+    /// the structure itself.
+    ///
+    /// Interned slots are renumbered in first-reference order (buckets in
+    /// address order, a sub-trie's levels top-down) through a `remap`
+    /// array, and each live vector is copied into the published slab
+    /// once. The interner holds each distinct vector in one slot, so this
+    /// is exactly the slab that interning every reference afresh yields.
+    ///
+    /// Afterwards, if the interner holds more than twice the live slots,
+    /// it is compacted to the live vectors, so vectors that rebuilt
+    /// buckets dropped cannot accumulate under churn.
+    pub fn assemble(&mut self) -> JumpTrie {
+        let depth = self.buckets.iter().map(Bucket::depth).max().unwrap_or(0);
         let mut totals = vec![0usize; depth];
         for b in &self.buckets {
-            for (l, level) in b.levels.iter().enumerate() {
-                totals[l] += level.len();
+            if let Bucket::Sub(levels) = b {
+                for (l, level) in levels.iter().enumerate() {
+                    totals[l] += level.len();
+                }
             }
         }
         let mut level_start = Vec::with_capacity(depth + 1);
@@ -200,30 +205,42 @@ impl JumpSlabs {
         let mut root = vec![0u32; ROOT_ENTRIES];
         let mut words = vec![0u32; words_len];
         let mut cursor = vec![0usize; depth]; // next free local base per level
-        let mut interner = NhiInterner::new(self.k);
+        let mut remap = vec![UNSEEN; self.interner.len()];
+        let mut nhis: Vec<NhiCode> = Vec::new();
+        let (k, interner) = (self.k, &self.interner);
+        let mut renumber = |slot: u32| -> u32 {
+            let seen = &mut remap[slot as usize];
+            if *seen == UNSEEN {
+                *seen = u32::try_from(nhis.len() / k).expect("NHI slab overflow");
+                debug_assert_eq!(*seen & LEAF_BIT, 0, "assembled jump trie too large");
+                nhis.extend_from_slice(interner.vector(slot));
+            }
+            LEAF_BIT | *seen
+        };
 
         let mut bases: Vec<usize> = Vec::with_capacity(depth);
         for (bidx, bucket) in self.buckets.iter().enumerate() {
-            if bucket.levels.is_empty() {
-                root[bidx] = LEAF_BIT | interner.intern(&bucket.nhis);
-                continue;
-            }
+            let levels = match bucket {
+                Bucket::Direct(slot) => {
+                    root[bidx] = renumber(*slot);
+                    continue;
+                }
+                Bucket::Sub(levels) => levels,
+            };
             // Claim this bucket's contiguous block in every level it uses.
             bases.clear();
-            for (l, level) in bucket.levels.iter().enumerate() {
+            for (l, level) in levels.iter().enumerate() {
                 bases.push(cursor[l]);
                 cursor[l] += level.len();
             }
             let entry = level_start[0] + bases[0];
             debug_assert_eq!(entry & LEAF_BIT as usize, 0, "assembled jump trie too large");
             root[bidx] = u32::try_from(entry).expect("assembled jump trie exceeds u32 words");
-            for (l, level) in bucket.levels.iter().enumerate() {
+            for (l, level) in levels.iter().enumerate() {
                 let out = level_start[l] + bases[l];
                 for (i, &word) in level.iter().enumerate() {
                     words[out + i] = if word & LEAF_BIT != 0 {
-                        let slot = (word & !LEAF_BIT) as usize;
-                        let vector = &bucket.nhis[slot * self.k..(slot + 1) * self.k];
-                        LEAF_BIT | interner.intern(vector)
+                        renumber(word & PAYLOAD_MASK)
                     } else {
                         let target = level_start[l + 1] + bases[l + 1] + word as usize;
                         u32::try_from(target).expect("assembled jump trie exceeds u32 words")
@@ -231,33 +248,74 @@ impl JumpSlabs {
                 }
             }
         }
-        JumpTrie::from_raw_parts(root, words, level_offsets, interner.into_slab(), self.k)
+        if self.interner.len() > 2 * (nhis.len() / k) {
+            self.compact(&remap, &nhis);
+        }
+        JumpTrie::from_raw_parts(root, words, level_offsets, nhis, k)
+    }
+
+    /// Drops stale vectors: re-interns the live ones in their published
+    /// order (`live`, so each keeps its `remap` slot) and renumbers every
+    /// bucket through `remap`. Every slot a bucket holds was referenced
+    /// by the assembly that built `remap`, so none maps to [`UNSEEN`].
+    fn compact(&mut self, remap: &[u32], live: &[NhiCode]) {
+        self.interner = NhiInterner::new(self.k);
+        for vector in live.chunks_exact(self.k) {
+            self.interner.intern(vector);
+        }
+        debug_assert_eq!(self.interner.len() * self.k, live.len(), "live vectors are distinct");
+        for bucket in &mut self.buckets {
+            match bucket {
+                Bucket::Direct(slot) => *slot = remap[*slot as usize],
+                Bucket::Sub(levels) => {
+                    for word in levels.iter_mut().flatten() {
+                        if *word & LEAF_BIT != 0 {
+                            *word = LEAF_BIT | remap[(*word & PAYLOAD_MASK) as usize];
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
-/// NHI-vector interner for [`JumpSlabs::assemble`]: deduplicates K-wide
-/// vectors into the growing NHI slab, returning each vector's slot.
+impl Bucket {
+    /// Sub-slab levels the bucket occupies (0 for a direct bucket).
+    fn depth(&self) -> usize {
+        match self {
+            Self::Direct(_) => 0,
+            Self::Sub(levels) => levels.len(),
+        }
+    }
+}
+
+/// `remap` marker of a slot the current assembly has not referenced yet.
+const UNSEEN: u32 = u32::MAX;
+
+/// The persistent NHI-vector interner of a [`JumpSlabs`]: deduplicates
+/// K-wide vectors into a slab, returning each vector's slot. Each
+/// distinct vector holds exactly one slot, for as long as the interner
+/// lives.
 ///
-/// Assembly interns one vector per direct bucket (up to 65,536) plus one
-/// per leaf word, while the distinct-vector count is orders of magnitude
-/// smaller — and repeats arrive in long address-space runs (an empty /8
-/// is thousands of consecutive identical direct buckets). Two levels
-/// exploit that shape:
+/// Decomposition and bucket rebuilds intern one vector per direct bucket
+/// (up to 65,536) plus one per leaf word, while the distinct-vector count
+/// is orders of magnitude smaller — and repeats arrive in long runs (an
+/// empty /8 is thousands of consecutive identical direct buckets, a
+/// sub-trie's leaves mostly repeat their neighbour). Two levels exploit
+/// that shape:
 ///
 /// * a **last-vector memo** short-circuits consecutive repeats with one
 ///   slice compare, no hashing;
 /// * misses go through an open-addressed table keyed by an FNV-1a hash,
 ///   with keys stored as slots into the slab itself (no owned `Vec`
-///   keys, no `SipHash`) — the per-publish assembly is on the control
-///   plane's per-batch path, so constant factors here are throughput.
+///   keys, no `SipHash`).
+#[derive(Debug, Clone)]
 struct NhiInterner {
     k: usize,
-    /// The growing NHI slab (k entries per interned vector).
+    /// The interned vectors (k entries per slot).
     slab: Vec<NhiCode>,
     /// Open-addressed table of `(fnv_hash, slot + 1)`; 0 means empty.
     table: Vec<(u64, u32)>,
-    /// Live entries, to trigger growth at 1/2 load.
-    len: usize,
     /// Memo of the most recently interned vector's slot.
     last: Option<u32>,
 }
@@ -268,7 +326,6 @@ impl NhiInterner {
             k,
             slab: Vec::new(),
             table: vec![(0, 0); 1024],
-            len: 0,
             last: None,
         }
     }
@@ -281,7 +338,13 @@ impl NhiInterner {
         h
     }
 
-    fn slot_slice(&self, slot: u32) -> &[NhiCode] {
+    /// Number of slots (live and stale).
+    fn len(&self) -> usize {
+        self.slab.len() / self.k
+    }
+
+    /// The vector interned at `slot`.
+    fn vector(&self, slot: u32) -> &[NhiCode] {
         let start = slot as usize * self.k;
         &self.slab[start..start + self.k]
     }
@@ -289,7 +352,7 @@ impl NhiInterner {
     fn intern(&mut self, vector: &[NhiCode]) -> u32 {
         debug_assert_eq!(vector.len(), self.k);
         if let Some(slot) = self.last {
-            if self.slot_slice(slot) == vector {
+            if self.vector(slot) == vector {
                 return slot;
             }
         }
@@ -302,19 +365,19 @@ impl NhiInterner {
                 break;
             }
             let slot = tagged - 1;
-            if h == hash && self.slot_slice(slot) == vector {
+            if h == hash && self.vector(slot) == vector {
                 self.last = Some(slot);
                 return slot;
             }
             i = (i + 1) & mask;
         }
-        let slot = u32::try_from(self.slab.len() / self.k).expect("NHI slab overflow");
-        debug_assert_eq!(slot & LEAF_BIT, 0, "assembled jump trie too large");
+        let slot = u32::try_from(self.len()).expect("NHI slab overflow");
+        debug_assert_eq!(slot & LEAF_BIT, 0, "NHI slab too large");
         self.slab.extend_from_slice(vector);
         self.table[i] = (hash, slot + 1);
-        self.len += 1;
         self.last = Some(slot);
-        if self.len * 2 >= self.table.len() {
+        // Grow at 1/2 load.
+        if self.len() * 2 >= self.table.len() {
             self.grow();
         }
         slot
@@ -334,10 +397,6 @@ impl NhiInterner {
             }
             self.table[i] = (h, tagged);
         }
-    }
-
-    fn into_slab(self) -> Vec<NhiCode> {
-        self.slab
     }
 }
 
@@ -361,13 +420,15 @@ fn virt_child(merged: &MergedTrie, id: NodeId, bit: usize, eff: &[NhiCode]) -> V
 }
 
 /// Breadth-first leaf-pushed build of one bucket's sub-trie, rooted at an
-/// internal merged node sitting exactly at the 16-bit cut.
-fn build_bucket(merged: &MergedTrie, id: NodeId, eff: &[NhiCode]) -> Bucket {
-    let k = merged.arity();
-    let mut bucket = Bucket {
-        levels: Vec::new(),
-        nhis: Vec::new(),
-    };
+/// internal merged node sitting exactly at the 16-bit cut; leaf vectors
+/// go into `interner`.
+fn build_bucket(
+    merged: &MergedTrie,
+    id: NodeId,
+    eff: &[NhiCode],
+    interner: &mut NhiInterner,
+) -> Bucket {
+    let mut levels = Vec::new();
     let mut frontier = vec![
         virt_child(merged, id, 0, eff),
         virt_child(merged, id, 1, eff),
@@ -377,13 +438,13 @@ fn build_bucket(merged: &MergedTrie, id: NodeId, eff: &[NhiCode]) -> Bucket {
         let mut next = Vec::new();
         for virt in frontier {
             match virt {
-                Virt::Leaf(vector) => level.push(LEAF_BIT | bucket.push_leaf(k, &vector)),
+                Virt::Leaf(vector) => level.push(LEAF_BIT | interner.intern(&vector)),
                 Virt::Node(node, inherited) => {
                     let eff = effective(merged, node, &inherited);
                     if merged.node_child(node, 0).is_none()
                         && merged.node_child(node, 1).is_none()
                     {
-                        level.push(LEAF_BIT | bucket.push_leaf(k, &eff));
+                        level.push(LEAF_BIT | interner.intern(&eff));
                     } else {
                         let base =
                             u32::try_from(next.len()).expect("bucket sub-trie exceeds u32");
@@ -395,10 +456,10 @@ fn build_bucket(merged: &MergedTrie, id: NodeId, eff: &[NhiCode]) -> Bucket {
                 }
             }
         }
-        bucket.levels.push(level);
+        levels.push(level);
         frontier = next;
     }
-    bucket
+    Bucket::Sub(levels)
 }
 
 /// Bitmap over the 65 536 /16 buckets a batch of updates has touched.
@@ -493,6 +554,7 @@ impl DirtyBuckets {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merge::fixtures::{assert_same_parts, family as fixture_family, Churn, ARITIES};
     use vr_net::synth::{FamilySpec, PrefixLenDistribution};
     use vr_net::{Ipv4Prefix, RoutingTable};
 
@@ -519,9 +581,9 @@ mod tests {
         probes
     }
 
-    fn assert_parity(slabs: &JumpSlabs, merged: &MergedTrie, tables: &[RoutingTable]) {
+    fn assert_parity(slabs: &mut JumpSlabs, merged: &MergedTrie, tables: &[RoutingTable]) {
         let assembled = slabs.assemble();
-        let oracle = JumpTrie::from_merged(&merged.leaf_pushed());
+        let oracle = JumpTrie::from_merged(merged);
         for (vn, table) in tables.iter().enumerate() {
             for ip in probes(tables) {
                 assert_eq!(
@@ -541,7 +603,7 @@ mod tests {
     #[test]
     fn empty_trie_assembles_to_all_none() {
         let merged = MergedTrie::new(2).unwrap();
-        let slabs = JumpSlabs::from_merged(&merged);
+        let mut slabs = JumpSlabs::from_merged(&merged);
         let trie = slabs.assemble();
         assert_eq!(trie.sub_node_count(), 0);
         assert_eq!(trie.lookup_vn(0, 0), None);
@@ -554,8 +616,8 @@ mod tests {
     fn from_merged_matches_jump_trie_at_paper_scale() {
         let tables = family(4, 3725, 0.7, 17);
         let merged = MergedTrie::from_tables(&tables).unwrap();
-        let slabs = JumpSlabs::from_merged(&merged);
-        assert_parity(&slabs, &merged, &tables);
+        let mut slabs = JumpSlabs::from_merged(&merged);
+        assert_parity(&mut slabs, &merged, &tables);
     }
 
     #[test]
@@ -590,8 +652,68 @@ mod tests {
                 slabs.rebuild_bucket(&merged, bucket);
             }
             assert!(merged.check_invariants(), "round {round}");
-            assert_parity(&slabs, &merged, &tables);
+            assert_parity(&mut slabs, &merged, &tables);
         }
+    }
+
+    /// Applies one churn round to the merged trie and patches the buckets
+    /// it dirtied.
+    fn patch_round(
+        churn: &mut Churn,
+        slabs: &mut JumpSlabs,
+        merged: &mut MergedTrie,
+        tables: &mut [RoutingTable],
+        updates: usize,
+    ) {
+        let mut dirty = DirtyBuckets::new();
+        for prefix in churn.round(merged, tables, updates) {
+            dirty.mark_prefix(&prefix);
+        }
+        for bucket in dirty.iter() {
+            slabs.rebuild_bucket(merged, bucket);
+        }
+    }
+
+    #[test]
+    fn patched_assembly_equals_fresh_decomposition() {
+        for k in ARITIES {
+            let mut tables = fixture_family(k, 29 + k as u64);
+            let mut merged = MergedTrie::from_tables(&tables).unwrap();
+            let mut slabs = JumpSlabs::from_merged(&merged);
+            let mut churn = Churn::new(k as u64);
+            for generation in 0..8 {
+                let what = format!("K={k} generation {generation}");
+                let fresh = JumpSlabs::from_merged(&merged).assemble();
+                assert_same_parts(&slabs.assemble(), &fresh, &what);
+                patch_round(&mut churn, &mut slabs, &mut merged, &mut tables, 40);
+            }
+        }
+    }
+
+    #[test]
+    fn interner_stays_within_the_compaction_bound() {
+        let mut tables = family(4, 400, 0.6, 31);
+        let mut merged = MergedTrie::from_tables(&tables).unwrap();
+        let mut slabs = JumpSlabs::from_merged(&merged);
+        let mut churn = Churn::new(3);
+        let mut compactions = 0;
+        for generation in 0..300 {
+            patch_round(&mut churn, &mut slabs, &mut merged, &mut tables, 20);
+            let before = slabs.interner.len();
+            let live = slabs.assemble().leaf_count();
+            if slabs.interner.len() < before {
+                compactions += 1;
+                assert_eq!(slabs.interner.len(), live, "generation {generation}");
+            }
+            assert!(
+                slabs.interner.len() <= 2 * live,
+                "generation {generation}: {} slots for {live} live vectors",
+                slabs.interner.len()
+            );
+        }
+        assert!(compactions > 0, "300 churned generations never compacted");
+        let fresh = JumpSlabs::from_merged(&merged).assemble();
+        assert_same_parts(&slabs.assemble(), &fresh, "after compactions");
     }
 
     #[test]

@@ -196,7 +196,7 @@ fn every_constructor_audits_clean_at_paper_scale() {
     for report in [
         audit_merged_leaf_pushed(&mlp, &tables),
         audit_flat(&FlatTrie::from_merged(&mlp)),
-        audit_jump(&JumpTrie::from_merged(&mlp)),
+        audit_jump(&JumpTrie::from_merged(&merged)),
         audit_braided(&BraidedTrie::from_tables(&tables).unwrap(), &tables),
     ] {
         assert!(report.is_clean(), "{}", report.summary());

@@ -144,7 +144,7 @@ proptest! {
         batch in arb_batch(),
     ) {
         let merged = MergedTrie::from_tables(&tables).unwrap();
-        let jump = JumpTrie::from_merged(&merged.leaf_pushed());
+        let jump = JumpTrie::from_merged(&merged);
         for vnid in 0..tables.len() {
             for &ip in &batch {
                 let expect = merged.lookup(vnid, ip);

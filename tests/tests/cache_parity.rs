@@ -150,9 +150,7 @@ proptest! {
         batches in prop::collection::vec((1usize..300, 0u8..3), 1..10),
     ) {
         let tables = family(seed);
-        let trie = JumpTrie::from_merged(
-            &MergedTrie::from_tables(&tables).expect("merge").leaf_pushed(),
-        );
+        let trie = JumpTrie::from_merged(&MergedTrie::from_tables(&tables).expect("merge"));
         let mut cache = LpmCache::new(64).expect("cache");
         let mut stream = SkewedTraffic::new(SkewedSpec::zipf(K, 1.0, seed), &tables)
             .expect("traffic stream");
